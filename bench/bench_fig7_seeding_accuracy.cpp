@@ -56,12 +56,10 @@ int main() {
 
     std::vector<std::string> ppl;
     TrafficLedger ledger;
-    std::uint64_t steps = 1;
     for (int e = 0; e < 3; ++e) {
       const auto stats = trainer.run_epoch(train, valid, e);
       ppl.push_back(bench::fmt(stats.valid_perplexity, 1));
       ledger = stats.comm_total;
-      steps = std::max<std::uint64_t>(1, stats.steps);
     }
 
     // Measure the global unique candidate count directly.

@@ -417,7 +417,8 @@ int main(int argc, char** argv) {
   std::string shard_depths = "[";
   for (std::size_t k = 0; k < cfg.shards; ++k) {
     max_queue_depth = std::max(max_queue_depth, probe.max_depth()[k]);
-    shard_depths += (k ? "," : "") + std::to_string(probe.max_depth()[k]);
+    if (k > 0) shard_depths += ',';
+    shard_depths += std::to_string(probe.max_depth()[k]);
   }
   shard_depths += "]";
 

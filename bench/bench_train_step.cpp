@@ -53,8 +53,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "zipflm/comm/process_group.hpp"
@@ -72,6 +74,7 @@
 #include "zipflm/support/rng.hpp"
 #include "zipflm/support/stopwatch.hpp"
 #include "zipflm/tensor/ops.hpp"
+#include "zipflm/tensor/simd.hpp"
 
 #include "bench_common.hpp"
 
@@ -80,6 +83,37 @@ namespace {
 using namespace zipflm;
 
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+
+/// The host a RESULT row is comparable within, as a JSON object: core
+/// count, CPU model, the ISA the kernels dispatch to, and build type.
+/// scripts/bench_regression.sh gates only against rows whose host
+/// object matches exactly.
+std::string host_json() {
+  std::string cpu = "unknown";
+  std::ifstream info("/proc/cpuinfo");
+  for (std::string line; std::getline(info, line);) {
+    const auto colon = line.find(':');
+    if (line.rfind("model name", 0) != 0 || colon == std::string::npos) {
+      continue;
+    }
+    const auto begin = line.find_first_not_of(' ', colon + 1);
+    if (begin != std::string::npos) cpu = line.substr(begin);
+    break;
+  }
+  std::erase_if(cpu, [](char c) { return c == '"' || c == '\\'; });
+  std::string isa = "scalar";
+  if (simd::active_backend() == simd::Backend::kNative) {
+    isa = simd::native_isa();
+#if defined(__F16C__)
+    isa += "+f16c";
+#endif
+  }
+  std::string json = "{\"cores\":";
+  json += std::to_string(std::thread::hardware_concurrency());
+  json += ",\"cpu_model\":\"" + cpu + "\",\"isa\":\"" + isa;
+  json += "\",\"build_type\":\"" ZIPFLM_BUILD_TYPE "\"}";
+  return json;
+}
 
 std::uint64_t fnv1a(const void* data, std::size_t n, std::uint64_t h) {
   const auto* p = static_cast<const unsigned char*>(data);
@@ -674,7 +708,7 @@ int main(int argc, char** argv) {
       "\"wire_codec\":\"%s\",\"wire_bytes\":%llu,"
       "\"tokens_per_s\":%.2f,\"step_ms\":%.2f,"
       "\"forward_ms\":%.2f,\"backward_ms\":%.2f,\"exchange_ms\":%.2f,"
-      "\"optimizer_ms\":%.2f}\n",
+      "\"optimizer_ms\":%.2f,\"host\":%s}\n",
       static_cast<long long>(bc.spec.batch_size),
       static_cast<long long>(bc.spec.seq_len), bc.measured_steps, bc.gpus,
       bc.overlap ? "true" : "false", transport.c_str(),
@@ -682,6 +716,7 @@ int main(int argc, char** argv) {
       bc.shard_embedding ? "true" : "false",
       shard_equal_to_replicated ? "true" : "false",
       codec.c_str(), static_cast<unsigned long long>(wire_bytes),
-      tok_s, step_ms, forward_ms, backward_ms, exchange_ms, optimizer_ms);
+      tok_s, step_ms, forward_ms, backward_ms, exchange_ms, optimizer_ms,
+      host_json().c_str());
   return equal_to_thread && shard_equal_to_replicated ? 0 : 1;
 }

@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
 # Throughput regression gate: run bench_train_step in the recorded
 # configuration and compare tokens/s against the NEWEST record in
-# BENCH_train_step.json.  Fails when the fresh number falls below
-# (1 - band) x recorded — the band absorbs runner-to-runner noise, a
-# real regression does not hide inside it for long.
+# BENCH_train_step.json whose "host" object (cores, CPU model, ISA,
+# build type) equals the fresh RESULT's exactly.  Fails when the fresh
+# number falls below (1 - band) x recorded — the band absorbs
+# run-to-run noise, a real regression does not hide inside it for long.
+# With no same-host record it prints "no same-host baseline" and skips
+# the tokens/s gate: a number from another machine is no baseline.
 #
 # Also gates the wire codecs: two extra socket-transport legs (packed,
 # int8) must each move strictly fewer wire bytes than the raw leg at
@@ -66,29 +69,45 @@ records=BENCH_train_step.json
 }
 [[ -f "$records" ]] || { echo "$records not found" >&2; exit 2; }
 
-# Newest record = last tokens_per_s in the append-only records file.
-recorded=$(grep -o '"tokens_per_s": *[0-9.]*' "$records" \
-  | tail -1 | grep -o '[0-9.]*$')
-[[ -n "$recorded" ]] || { echo "no tokens_per_s record in $records" >&2; exit 2; }
-
-echo "running: bench_train_step $args (recorded baseline: $recorded tok/s)"
+echo "running: bench_train_step $args"
 # shellcheck disable=SC2086  # args is a word list on purpose
 ./build/bench/bench_train_step $args | tee /tmp/zipflm_bench_run.txt
 grep '^RESULT' /tmp/zipflm_bench_run.txt | sed 's/^RESULT //' > "$out"
+[[ -s "$out" ]] || { echo "bench produced no RESULT line" >&2; exit 2; }
 
-fresh=$(grep -o '"tokens_per_s": *[0-9.]*' "$out" | grep -o '[0-9.]*$')
-[[ -n "$fresh" ]] || { echo "bench produced no RESULT line" >&2; exit 2; }
+# Prints "<fresh tok/s> <newest same-host tok/s, or -> <host JSON>" (the
+# host last: its CPU model has spaces).  A fresh RESULT without
+# tokens_per_s or host is a loud failure.
+read -r fresh recorded host < <(python3 - "$out" "$records" <<'PY'
+import json, sys
+fresh = json.load(open(sys.argv[1]))
+for key in ("tokens_per_s", "host"):
+    if key not in fresh:
+        sys.exit(f'missing "{key}" in {sys.argv[1]}')
+host = fresh["host"]
+same = [r["tokens_per_s"] for r in json.load(open(sys.argv[2]))
+        if r.get("host") == host and "tokens_per_s" in r]
+print(fresh["tokens_per_s"], same[-1] if same else "-",
+      json.dumps(host, separators=(",", ":")))
+PY
+)
+[[ -n "$fresh" ]] || { echo "cannot read tokens_per_s from $out" >&2; exit 2; }
 
-awk -v fresh="$fresh" -v rec="$recorded" -v band="$band" 'BEGIN {
-  floor = rec * (1.0 - band)
-  if (fresh < floor) {
-    printf "REGRESSION: %.2f tok/s < %.2f (recorded %.2f, band %.0f%%)\n",
+if [[ "$recorded" == "-" ]]; then
+  echo "no same-host baseline in $records for host $host;" \
+       "skipping the tokens/s gate (fresh: $fresh tok/s)"
+else
+  awk -v fresh="$fresh" -v rec="$recorded" -v band="$band" 'BEGIN {
+    floor = rec * (1.0 - band)
+    if (fresh < floor) {
+      printf "REGRESSION: %.2f tok/s < %.2f (recorded %.2f, band %.0f%%)\n",
+             fresh, floor, rec, band * 100
+      exit 1
+    }
+    printf "bench OK: %.2f tok/s >= %.2f (recorded %.2f, band %.0f%%)\n",
            fresh, floor, rec, band * 100
-    exit 1
-  }
-  printf "bench OK: %.2f tok/s >= %.2f (recorded %.2f, band %.0f%%)\n",
-         fresh, floor, rec, band * 100
-}'
+  }'
+fi
 
 # -- Codec wire-byte gate over the socket transport ------------------
 if [[ "${ZIPFLM_WIRE_GATE:-1}" != "0" ]]; then

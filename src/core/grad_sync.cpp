@@ -1,7 +1,6 @@
 #include "zipflm/core/grad_sync.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <vector>
 
 #include "zipflm/comm/hierarchical.hpp"
@@ -22,30 +21,31 @@ void allreduce(Communicator& comm, std::span<T> data, bool hierarchical) {
 }
 }  // namespace
 
+void DenseGradSync::reduce(Communicator& comm, Param& param,
+                           const ExchangeOptions& opts) {
+  if (comm.world_size() > 1) {
+    const std::span<float> g = param.grad.data();
+    if (opts.precision == WirePrecision::FP32) {
+      allreduce<float>(comm, g, opts.hierarchical_allreduce);
+    } else {
+      // Reduce straight out of / into the gradient through the one wire
+      // buffer.  Its old contents are dead, so growing it never copies.
+      if (wire_.size() < g.size()) wire_ = std::vector<Half>(g.size());
+      const std::span<Half> wire(wire_.data(), g.size());
+      compress_fp16(g, opts.compression_scale, wire);
+      allreduce<Half>(comm, wire, opts.hierarchical_allreduce);
+      decompress_fp16(wire, opts.compression_scale, g);
+    }
+  }
+  scale(param.grad, 1.0f / static_cast<float>(comm.world_size()));
+}
+
 void DenseGradSync::sync(Communicator& comm, std::span<Param* const> params,
-                         const ExchangeOptions* override_opts) const {
+                         const ExchangeOptions* override_opts) {
   const ExchangeOptions& opts =
       override_opts != nullptr ? *override_opts : options_;
   WireCodecScope codec_scope(comm, opts.codec);
-  const float inv_world = 1.0f / static_cast<float>(comm.world_size());
-  for (Param* p : params) {
-    if (comm.world_size() > 1) {
-      if (opts.precision == WirePrecision::FP32) {
-        allreduce<float>(comm, p->grad.data(),
-                         opts.hierarchical_allreduce);
-      } else {
-        std::vector<Half> wire;
-        compress_fp16(p->grad.data(), opts.compression_scale, wire);
-        allreduce<Half>(comm, std::span<Half>(wire),
-                        opts.hierarchical_allreduce);
-        std::vector<float> up;
-        decompress_fp16(wire, opts.compression_scale, up);
-        std::memcpy(p->grad.data().data(), up.data(),
-                    up.size() * sizeof(float));
-      }
-    }
-    scale(p->grad, inv_world);
-  }
+  for (Param* p : params) reduce(comm, *p, opts);
 }
 
 void DenseGradSync::rebuild_plan(std::span<Param* const> params) {
@@ -109,10 +109,8 @@ void DenseGradSync::launch_bucket(std::size_t index) {
 }
 
 void DenseGradSync::run_bucket(Communicator& comm, std::size_t index) {
-  Bucket& b = plan_[index];
   WireCodecScope codec_scope(comm, options_.codec);
-  const float inv_world = 1.0f / static_cast<float>(comm.world_size());
-  // One collective per parameter, in plan order — the exact loop body of
+  // One collective per parameter, in plan order — the exact loop of
   // sync().  A concatenated bucket-wide allreduce would shift the ring
   // chunk boundaries and with them each element's cross-rank summation
   // order, so overlap on/off would stop being bitwise identical; keeping
@@ -120,23 +118,7 @@ void DenseGradSync::run_bucket(Communicator& comm, std::size_t index) {
   // so every FaultSpec::at_collective index) independent of bucketing.
   // The bucket is purely the launch granularity: one engine job covering
   // every parameter whose gradient finalized together.
-  for (Param* p : b.params) {
-    if (comm.world_size() > 1) {
-      auto g = p->grad.data();
-      if (options_.precision == WirePrecision::FP32) {
-        allreduce<float>(comm, g, options_.hierarchical_allreduce);
-      } else {
-        // Reduce straight out of / into the gradient buffer: identical
-        // bytes to sync()'s staged copies, minus the two big memcpys.
-        compress_fp16(g, options_.compression_scale, b.wire);
-        allreduce<Half>(comm, std::span<Half>(b.wire),
-                        options_.hierarchical_allreduce);
-        decompress_fp16(b.wire, options_.compression_scale,
-                        std::span<float>(g));
-      }
-    }
-    scale(p->grad, inv_world);
-  }
+  for (Param* p : plan_[index].params) reduce(comm, *p, options_);
 }
 
 void DenseGradSync::finish() {

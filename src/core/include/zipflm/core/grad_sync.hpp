@@ -20,6 +20,11 @@
 //    fault-injection collective indices are stable.  Bucket boundaries
 //    depend only on the parameter list and bucket_bytes — never on
 //    timing.
+//
+// Both modes reduce through one FP16 wire buffer per instance, sized to
+// the largest parameter: the comm thread runs buckets one at a time and
+// peers read the buffer only inside a collective.  An instance belongs
+// to one rank; ranks never share one.
 #pragma once
 
 #include <cstddef>
@@ -47,7 +52,7 @@ class DenseGradSync {
   /// for this call only — the adaptive wire-format selector's hook on
   /// the non-overlapped path.
   void sync(Communicator& comm, std::span<Param* const> params,
-            const ExchangeOptions* override_opts = nullptr) const;
+            const ExchangeOptions* override_opts = nullptr);
 
   /// Re-point the wire options (precision / codec / scale) for
   /// subsequent steps — the adaptive selector's hook on the overlapped
@@ -104,16 +109,14 @@ class DenseGradSync {
     std::size_t floats = 0;
     std::size_t pending = 0;      ///< params not yet notified this step
     bool launched = false;
-    // Persistent FP16 wire scratch so the comm thread never allocates
-    // per step (a fresh multi-MiB vector per bucket per step would
-    // page-fault its way through the gradient footprint every
-    // iteration).
-    std::vector<Half> wire;
   };
 
   void rebuild_plan(std::span<Param* const> params);
   void launch_bucket(std::size_t index);
   void run_bucket(Communicator& comm, std::size_t index);
+  /// Allreduce one gradient in place and divide by world size: the
+  /// loop body both modes share.
+  void reduce(Communicator& comm, Param& param, const ExchangeOptions& opts);
 
   ExchangeOptions options_;
   bool overlap_ = true;
@@ -125,6 +128,9 @@ class DenseGradSync {
   std::unordered_map<const Param*, std::size_t> bucket_of_;
   AsyncCommEngine* engine_ = nullptr;  ///< non-null while armed
   int world_ = 1;
+  /// FP16 wire scratch, grown to the largest parameter reduced so far
+  /// and kept, so no step allocates.
+  std::vector<Half> wire_;
 };
 
 }  // namespace zipflm

@@ -200,13 +200,14 @@ class DistributedTrainer {
  private:
   /// Returns false when the overflow guard skipped the optimizer step.
   /// `exchange` is the strategy for this step (adaptive selection);
-  /// `overlap_sync`/`pending` are the armed overlap state, or nullptr
-  /// for the synchronous path; `fmt_opts` overrides the dense sync's
-  /// wire options for this step (adaptive wire format), or nullptr.
+  /// `dense_sync` is this rank's, armed when overlap is on; `pending` is
+  /// the eager id gather, or nullptr for the synchronous path;
+  /// `fmt_opts` overrides the dense sync's wire options for this step
+  /// (adaptive wire format), or nullptr.
   bool sync_step(Communicator& comm, LmModel& model, Optimizer& opt,
                  MemoryPool& pool, LossScaler* scaler,
                  const LmStepResult& res, std::uint64_t* unique_out,
-                 EmbeddingExchange* exchange, DenseGradSync* overlap_sync,
+                 EmbeddingExchange* exchange, DenseGradSync& dense_sync,
                  const PendingIdGather* pending,
                  const ExchangeOptions* fmt_opts);
 
@@ -231,8 +232,7 @@ class DistributedTrainer {
   /// Per-format dense-sync options (adaptive_wire_format only).
   std::array<ExchangeOptions, kWireFormatCount> format_opts_{};
   std::vector<std::unique_ptr<ExchangeStrategySelector>> selectors_;
-  DenseGradSync dense_sync_;
-  std::vector<DenseGradSync> dense_syncs_;  ///< per rank (overlap mode)
+  std::vector<DenseGradSync> dense_syncs_;  ///< per global rank
   std::optional<ControlledSampler> sampler_;
   std::vector<std::unique_ptr<LmModel>> models_;
   std::vector<std::unique_ptr<Optimizer>> optimizers_;

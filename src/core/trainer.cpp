@@ -85,7 +85,6 @@ DistributedTrainer::DistributedTrainer(CommWorld& world,
       exchange_ = std::make_unique<DenseExchange>(ex_opts);
     }
   }  // sharded exchange needs the model geometry; built after the loop.
-  dense_sync_ = DenseGradSync(ex_opts);
 
   const int g = world.total_ranks();
   models_.reserve(static_cast<std::size_t>(g));
@@ -156,15 +155,13 @@ DistributedTrainer::DistributedTrainer(CommWorld& world,
                      options_.seed_policy, options_.seed);
   }
 
-  if (options_.overlapped_exchange) {
-    // One bucketed sync per global rank: each owns persistent staging
-    // buffers its comm thread packs into, so ranks never share state.
-    dense_syncs_.reserve(static_cast<std::size_t>(g));
-    for (int r = 0; r < g; ++r) {
-      DenseGradSync s(ex_opts);
-      s.set_bucket_bytes(options_.overlap_bucket_bytes);
-      dense_syncs_.push_back(std::move(s));
-    }
+  // One dense sync per global rank: each owns the FP16 wire buffer its
+  // rank (or that rank's comm thread) reduces through, so rank threads
+  // never share one.
+  dense_syncs_.reserve(static_cast<std::size_t>(g));
+  for (int r = 0; r < g; ++r) {
+    dense_syncs_.emplace_back(ex_opts);
+    dense_syncs_.back().set_bucket_bytes(options_.overlap_bucket_bytes);
   }
   if (options_.adaptive_exchange) {
     ExchangeOptions hier_opts = ex_opts;
@@ -283,7 +280,7 @@ bool DistributedTrainer::sync_step(Communicator& comm, LmModel& model,
                                    const LmStepResult& res,
                                    std::uint64_t* unique_out,
                                    EmbeddingExchange* exchange,
-                                   DenseGradSync* overlap_sync,
+                                   DenseGradSync& dense_sync,
                                    const PendingIdGather* pending,
                                    const ExchangeOptions* fmt_opts) {
   const float inv_world = 1.0f / static_cast<float>(comm.world_size());
@@ -301,10 +298,10 @@ bool DistributedTrainer::sync_step(Communicator& comm, LmModel& model,
     // been in flight since backward (overlapped path), or run the
     // classic synchronous per-parameter ALLREDUCE sweep.  finish() also
     // flushes the eager id allgather riding the same engine.
-    if (overlap_sync != nullptr) {
-      overlap_sync->finish();
+    if (options_.overlapped_exchange) {
+      dense_sync.finish();
     } else {
-      dense_sync_.sync(comm, dense, fmt_opts);
+      dense_sync.sync(comm, dense, fmt_opts);
     }
 
     // Input embedding: the exchange under test.
@@ -388,13 +385,11 @@ EpochStats DistributedTrainer::run_epoch(std::span<const Index> train_ids,
     // Overlapped exchange: a per-rank comm thread plus this rank's
     // bucketed sync.  The engine runs jobs inline when overlap is off.
     AsyncCommEngine engine(comm, options_.overlapped_exchange);
-    DenseGradSync* dsync =
-        options_.overlapped_exchange
-            ? &dense_syncs_[static_cast<std::size_t>(r)]
-            : nullptr;
-    if (dsync != nullptr) {
+    DenseGradSync& dsync = dense_syncs_[static_cast<std::size_t>(r)];
+    const bool overlap = options_.overlapped_exchange;
+    if (overlap) {
       model.set_backward_hook(
-          [dsync](const Param& p) { dsync->notify_ready(&p); });
+          [&dsync](const Param& p) { dsync.notify_ready(&p); });
     }
     ExchangeStrategySelector* selector =
         selectors_.empty() ? nullptr
@@ -403,10 +398,10 @@ EpochStats DistributedTrainer::run_epoch(std::span<const Index> train_ids,
     // epoch) so the model and sync never outlive this stack's engine.
     struct OverlapGuard {
       LmModel& model;
-      DenseGradSync* dsync;
+      DenseGradSync& dsync;
       ~OverlapGuard() {
         model.set_backward_hook(nullptr);
-        if (dsync != nullptr) dsync->disarm();
+        dsync.disarm();
       }
     } overlap_guard{model, dsync};
 
@@ -446,12 +441,12 @@ EpochStats DistributedTrainer::run_epoch(std::span<const Index> train_ids,
         ex = exchange_for(kind, fmt);
         if (options_.adaptive_wire_format) {
           fmt_opts = &format_opts_[static_cast<std::size_t>(fmt)];
-          if (dsync != nullptr) dsync->set_wire_options(*fmt_opts);
+          if (overlap) dsync.set_wire_options(*fmt_opts);
         }
       }
       PendingIdGather pending;
-      if (dsync != nullptr) {
-        dsync->begin_step(comm, engine, model.dense_params());
+      if (overlap) {
+        dsync.begin_step(comm, engine, model.dense_params());
         // The token ids are known now — start the Θ(G·K) id allgather
         // under forward+backward.
         begin_id_gather(engine, batch.inputs, pending, options_.index_codec);
@@ -459,7 +454,7 @@ EpochStats DistributedTrainer::run_epoch(std::span<const Index> train_ids,
       model.train_step_local(batch, candidates, res);
       std::uint64_t ug = 0;
       if (!sync_step(comm, model, opt, pool, scaler, res, &ug, ex, dsync,
-                     dsync != nullptr ? &pending : nullptr, fmt_opts)) {
+                     overlap ? &pending : nullptr, fmt_opts)) {
         ++rank_skipped[static_cast<std::size_t>(dr)];
         tm.skipped_steps.add(1);
         ZIPFLM_TRACE_INSTANT("overflow_skip");
@@ -511,14 +506,14 @@ EpochStats DistributedTrainer::run_epoch(std::span<const Index> train_ids,
       }
     }
     rank_steps[static_cast<std::size_t>(dr)] = local_step;
-    if (dsync != nullptr && dr == 0) {
+    if (overlap && dr == 0) {
       // How much of the comm thread's busy time actually hid under
       // compute (1.0 = fully hidden, 0.0 = all of it waited in flush).
       auto& reg = obs::MetricsRegistry::global();
       reg.gauge("comm/overlap_efficiency")
           .set(AsyncCommEngine::overlap_efficiency(engine.stats()));
       reg.gauge("comm/overlap_buckets")
-          .set(static_cast<double>(dsync->plan_buckets()));
+          .set(static_cast<double>(dsync.plan_buckets()));
     }
   });
 

@@ -15,7 +15,9 @@ namespace {
 /// chunk splitter counts sections/events as it packs them).
 class Writer {
  public:
-  explicit Writer(FrameType type) { u8(static_cast<std::uint8_t>(type)); }
+  // The type byte is the vector's first element, not a 1-byte insert
+  // (which GCC 12 misreports as -Wstringop-overflow).
+  explicit Writer(FrameType type) : bytes_{static_cast<std::byte>(type)} {}
 
   void u8(std::uint8_t v) { raw(&v, sizeof(v)); }
   void u32(std::uint32_t v) { raw(&v, sizeof(v)); }

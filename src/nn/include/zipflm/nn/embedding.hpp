@@ -3,7 +3,8 @@
 // Forward is a row gather.  Backward does NOT touch the table: it hands
 // the caller the dense per-token gradient ∆ (K x D) plus the token ids,
 // because applying ∆ is exactly the step the paper's distributed exchange
-// algorithms (dense ALLGATHER baseline vs UNIQUE) own.
+// algorithms (dense ALLGATHER baseline vs UNIQUE) own.  The table is
+// therefore row-sparse: it holds no V x D gradient.
 #pragma once
 
 #include <span>
@@ -17,8 +18,9 @@ namespace zipflm {
 class Embedding {
  public:
   Embedding(Index vocab, Index dim, Rng& rng, float init_scale = 0.05f)
-      : table_("embedding",
-               Tensor::uniform({vocab, dim}, rng, -init_scale, init_scale)) {}
+      : table_(Param::row_sparse(
+            "embedding",
+            Tensor::uniform({vocab, dim}, rng, -init_scale, init_scale))) {}
 
   Index vocab() const { return table_.value.rows(); }
   Index dim() const { return table_.value.cols(); }
@@ -29,13 +31,6 @@ class Embedding {
   /// out[i] = table[ids[i]]; out must be (ids.size() x dim).
   void forward(std::span<const Index> ids, Tensor& out) const {
     gather_rows(table_.value, ids, out);
-  }
-
-  /// Single-rank reference update path (used by tests and by the G=1
-  /// fast path): accumulate token gradients into the table rows in token
-  /// order — the serialized "reverse mapping" of Section II-A.
-  void apply_token_gradients(const Tensor& delta, std::span<const Index> ids) {
-    scatter_add_rows(delta, ids, table_.grad);
   }
 
  private:

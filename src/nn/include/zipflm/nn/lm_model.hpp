@@ -138,6 +138,8 @@ class LmModel {
  public:
 
   /// Bytes of parameters + gradients (the model's static device cost).
+  /// Prices the simulated card's budget, a gradient per value, not this
+  /// process's allocations: row-sparse tables hold no dense gradient.
   std::size_t static_bytes() {
     std::size_t total = 0;
     for (const Param* p : all_params()) total += 2 * p->value.bytes();

@@ -46,7 +46,8 @@ class ShardedEmbedding {
                             vocab_);
   }
 
-  /// The owned slice: value is (owned_rows x dim), grad matches.
+  /// The owned slice: value is (owned_rows x dim); row-sparse, so no
+  /// dense grad — pushed gradient rows are applied by id.
   Param& param() noexcept { return shard_; }
   const Param& param() const noexcept { return shard_; }
 

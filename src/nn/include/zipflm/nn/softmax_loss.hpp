@@ -8,7 +8,7 @@
 //  * SampledSoftmaxLoss — normalizes over a candidate subset S ∪ targets
 //    (word LM).  The output-embedding gradient is row-sparse over the
 //    candidate ids, which is exactly the gradient the paper's seeding +
-//    uniqueness techniques synchronize.
+//    uniqueness techniques synchronize; the table holds no dense one.
 #pragma once
 
 #include <span>

@@ -250,7 +250,8 @@ std::size_t WordLm::activation_bytes_per_token() const {
 }
 
 void WordLm::zero_grad() {
-  for (Param* p : all_params()) p->zero_grad();
+  // The tables are row-sparse: they hold no dense gradient to clear.
+  for (Param* p : dense_params()) p->zero_grad();
 }
 
 // ---------------------------------------------------------------------------
@@ -428,7 +429,8 @@ std::size_t CharLm::activation_bytes_per_token() const {
 }
 
 void CharLm::zero_grad() {
-  for (Param* p : all_params()) p->zero_grad();
+  // The tables are row-sparse: they hold no dense gradient to clear.
+  for (Param* p : dense_params()) p->zero_grad();
 }
 
 }  // namespace zipflm

@@ -95,6 +95,13 @@ void adam_span(float* value, const float* grad, float* m, float* v,
   }
 }
 
+/// A row-sparse table has no dense gradient to step on: its rows go
+/// through step_rows.
+void check_dense_grad(const Param& p) {
+  ZIPFLM_CHECK(p.grad.size() == p.value.size(),
+               "dense optimizer step on row-sparse parameter " + p.name);
+}
+
 template <class Fn>
 void dispatch_chunks(std::size_t n, const Fn& fn) {
   ThreadPool::global().parallel_chunks(n, fn);
@@ -108,6 +115,7 @@ void Optimizer::load_state(std::istream&, std::span<Param* const>) {}
 void Sgd::step(std::span<Param* const> params) {
   const bool native = simd::active_backend() == simd::Backend::kNative;
   for (Param* p : params) {
+    check_dense_grad(*p);
     const float* g = p->grad.data().data();
     float* v = p->value.data().data();
     dispatch_chunks(p->value.data().size(),
@@ -172,6 +180,7 @@ void Adam::step(std::span<Param* const> params) {
   const float bc2 = 1.0f - std::pow(cfg_.beta2, t);
   const bool native = simd::active_backend() == simd::Backend::kNative;
   for (Param* p : params) {
+    check_dense_grad(*p);
     Moments& mo = moments_for(*p);
     const float* g = p->grad.data().data();
     float* v = p->value.data().data();

@@ -39,9 +39,10 @@ ShardedEmbedding::ShardedEmbedding(Index vocab, Index dim, int shard_rank,
       row_end_(shard_row_begin(vocab, shard_rank + 1, shard_world)),
       shard_rank_(shard_rank),
       shard_world_(shard_world),
-      shard_("embedding.shard",
-             owned_slice_of_full_stream(vocab, dim, row_begin_, row_end_, rng,
-                                        init_scale)) {
+      shard_(Param::row_sparse(
+          "embedding.shard",
+          owned_slice_of_full_stream(vocab, dim, row_begin_, row_end_, rng,
+                                     init_scale))) {
   ZIPFLM_CHECK(vocab > 0 && dim > 0, "sharded embedding needs a real table");
   ZIPFLM_CHECK(shard_world >= 1 && shard_rank >= 0 && shard_rank < shard_world,
                "shard rank out of range");

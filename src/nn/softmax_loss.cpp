@@ -71,8 +71,9 @@ float FullSoftmaxLoss::loss(const Tensor& h,
 
 SampledSoftmaxLoss::SampledSoftmaxLoss(Index vocab, Index dim, Rng& rng,
                                        float init_scale)
-    : emb_("softmax.emb",
-           Tensor::uniform({vocab, dim}, rng, -init_scale, init_scale)),
+    : emb_(Param::row_sparse(
+          "softmax.emb",
+          Tensor::uniform({vocab, dim}, rng, -init_scale, init_scale))),
       bias_("softmax.bias", Tensor({vocab})) {}
 
 float SampledSoftmaxLoss::forward_backward(

@@ -15,7 +15,7 @@
 //     a span costs one relaxed atomic load and a branch.
 //
 // Lanes: every buffer belongs to a named lane that becomes one Perfetto
-// track ("rank 0" .. "rank G-1", "serve scheduler", "pool worker N",
+// track ("rank 0" .. "rank G-1", "serve scheduler N", "pool worker N",
 // "main").  Short-lived threads (CommWorld spawns fresh rank threads
 // every run()) re-adopt their lane's buffer by name, so a 10-epoch run
 // holds G rank buffers, not 10*G.

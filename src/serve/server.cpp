@@ -1,8 +1,10 @@
 #include "zipflm/serve/server.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <optional>
+#include <string>
 #include <utility>
 
 #include "zipflm/obs/metrics.hpp"
@@ -309,7 +311,13 @@ bool Server::admit_locked() {
 
 void Server::scheduler_loop() {
 #if ZIPFLM_TRACE
-  obs::set_thread_lane("serve scheduler", 100);
+  // One lane per instance: every shard of a ShardedServer runs its own
+  // scheduler thread, and a lane must have a single live writer.
+  static std::atomic<int> instance_seq{0};
+  const int instance = instance_seq.fetch_add(1, std::memory_order_relaxed);
+  std::string lane = "serve scheduler ";
+  lane += std::to_string(instance);
+  obs::set_thread_lane(lane, 100 + instance);
 #endif
   std::unique_lock lock(mutex_);
   while (true) {

@@ -32,7 +32,7 @@ ThreadPool::ThreadPool(std::size_t threads) {
     workers_.emplace_back([this, pool_id, i] {
 #if ZIPFLM_TRACE
       // Pool lanes sort after the simulated ranks (rank lanes use their
-      // rank as the sort key) and the serve scheduler (100).
+      // rank as the sort key) and the serve schedulers (100 + N).
       obs::set_thread_lane("pool" + std::to_string(pool_id) + " worker " +
                                std::to_string(i),
                            200 + pool_id * 64 + static_cast<int>(i));

@@ -137,6 +137,13 @@ void half_accumulate(Half* mine, const Half* left, std::size_t n) {
 void compress_fp16(std::span<const float> src, float scale,
                    std::vector<Half>& dst) {
   dst.resize(src.size());
+  compress_fp16(src, scale, std::span<Half>(dst));
+}
+
+void compress_fp16(std::span<const float> src, float scale,
+                   std::span<Half> dst) {
+  ZIPFLM_CHECK(dst.size() == src.size(),
+               "compress_fp16 destination size mismatch");
   const float* s = src.data();
   Half* d = dst.data();
   ThreadPool::global().parallel_chunks(

@@ -19,6 +19,11 @@ namespace zipflm {
 void compress_fp16(std::span<const float> src, float scale,
                    std::vector<Half>& dst);
 
+/// In-place variant: dst must already hold src.size() halves.  Lets a
+/// caller down-cast into a reused wire buffer without resizing it.
+void compress_fp16(std::span<const float> src, float scale,
+                   std::span<Half> dst);
+
 /// dst[i] = float(src[i]) / scale.  dst is resized to match.
 void decompress_fp16(std::span<const Half> src, float scale,
                      std::vector<float>& dst);

@@ -9,11 +9,13 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
 #include "zipflm/comm/async_exchange.hpp"
 #include "zipflm/comm/thread_comm.hpp"
+#include "zipflm/core/grad_sync.hpp"
 #include "zipflm/core/strategy_select.hpp"
 #include "zipflm/core/trainer.hpp"
 #include "zipflm/data/corpus.hpp"
@@ -52,13 +54,26 @@ TrainerOptions tiny_options() {
   return opt;
 }
 
+void append_floats(std::vector<unsigned char>& out,
+                   std::span<const float> data) {
+  const auto* b = reinterpret_cast<const unsigned char*>(data.data());
+  out.insert(out.end(), b, b + data.size() * sizeof(float));
+}
+
 /// Every parameter tensor of every replica, as raw bytes.
 std::vector<unsigned char> model_bytes(DistributedTrainer& trainer) {
   std::vector<unsigned char> out;
   for (Param* p : trainer.model(0).all_params()) {
-    const auto data = p->value.data();
-    const auto* b = reinterpret_cast<const unsigned char*>(data.data());
-    out.insert(out.end(), b, b + data.size() * sizeof(float));
+    append_floats(out, p->value.data());
+  }
+  return out;
+}
+
+/// Replica 0's dense gradients as the last step's sync left them.
+std::vector<unsigned char> dense_grad_bytes(DistributedTrainer& trainer) {
+  std::vector<unsigned char> out;
+  for (Param* p : trainer.model(0).dense_params()) {
+    append_floats(out, p->grad.data());
   }
   return out;
 }
@@ -139,7 +154,7 @@ void expect_overlap_matches_sync(int gpus, WirePrecision wire) {
   const auto train = tiny_corpus(vocab, 2400, 7);
   const auto valid = tiny_corpus(vocab, 400, 8);
 
-  std::vector<unsigned char> reference;
+  std::vector<unsigned char> reference, ref_grads;
   double ref_train = 0.0, ref_valid = 0.0;
   for (const bool overlap : {false, true}) {
     CommWorld world(gpus);
@@ -155,18 +170,23 @@ void expect_overlap_matches_sync(int gpus, WirePrecision wire) {
     EXPECT_TRUE(trainer.replicas_in_sync());
 
     const auto bytes = model_bytes(trainer);
+    const auto grads = dense_grad_bytes(trainer);
     if (!overlap) {
       reference = bytes;
+      ref_grads = grads;
       ref_train = last.train_loss;
       ref_valid = last.valid_loss;
       continue;
     }
-    // Bitwise: the losses are exact doubles and the weights exact bytes.
+    // Bitwise: the losses are exact doubles, the weights and the last
+    // step's reduced gradients exact bytes.
     EXPECT_EQ(last.train_loss, ref_train);
     EXPECT_EQ(last.valid_loss, ref_valid);
     ASSERT_EQ(bytes.size(), reference.size());
     EXPECT_EQ(0, std::memcmp(bytes.data(), reference.data(), bytes.size()))
         << "overlap on diverged from overlap off at G=" << gpus;
+    EXPECT_EQ(grads, ref_grads)
+        << "bucketed gradients differ from sync()'s at G=" << gpus;
   }
 }
 
@@ -180,6 +200,52 @@ TEST(OverlappedExchange, MatchesSyncBitwiseG4Fp32) {
 
 TEST(OverlappedExchange, MatchesSyncBitwiseG4Fp16) {
   expect_overlap_matches_sync(4, WirePrecision::FP16);
+}
+
+TEST(OverlappedExchange, SyncAndBucketsShareOneFp16WireBuffer) {
+  // One DenseGradSync serves both paths through a single FP16 wire
+  // buffer, grown to the largest parameter.  Alternate the paths on one
+  // instance, over parameters of mixed sizes: every round must leave the
+  // same reduced gradients, bit for bit.
+  const std::vector<std::vector<Index>> shapes = {
+      {5, 40}, {3}, {17, 9}, {64}, {2, 2}};
+  CommWorld world(4);
+  world.run([&](Communicator& comm) {
+    const auto rank = static_cast<std::size_t>(comm.rank());
+    DenseGradSync sync(ExchangeOptions{WirePrecision::FP16, 64.0f, false});
+    sync.set_bucket_bytes(256);
+    std::vector<unsigned char> reference;
+    for (int round = 0; round < 4; ++round) {
+      std::vector<Param> params;
+      params.reserve(shapes.size());
+      for (std::size_t s = 0; s < shapes.size(); ++s) {
+        params.emplace_back("p", Tensor(shapes[s]));
+        auto g = params.back().grad.data();
+        for (std::size_t i = 0; i < g.size(); ++i) {
+          g[i] = 0.01f * static_cast<float>((i * 13 + s * 7 + rank) % 97) -
+                 0.4f;
+        }
+      }
+      std::vector<Param*> ptrs;
+      for (Param& p : params) ptrs.push_back(&p);
+
+      if (round % 2 == 0) {
+        sync.sync(comm, ptrs);
+      } else {
+        AsyncCommEngine engine(comm, /*overlap=*/true, /*force_thread=*/true);
+        sync.begin_step(comm, engine, ptrs);
+        for (std::size_t i = ptrs.size(); i-- > 0;) sync.notify_ready(ptrs[i]);
+        sync.finish();
+      }
+      std::vector<unsigned char> grads;
+      for (const Param& p : params) append_floats(grads, p.grad.data());
+      if (round == 0) {
+        reference = grads;
+      } else {
+        EXPECT_EQ(grads, reference) << "round " << round << ", rank " << rank;
+      }
+    }
+  });
 }
 
 // -- Gradient wire codecs through the full trainer -------------------

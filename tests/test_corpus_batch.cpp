@@ -113,7 +113,9 @@ TEST(Split, BlocksStayContiguous) {
   for (std::size_t i = 1; i < split.valid.size(); ++i) {
     const auto delta = split.valid[i] - split.valid[i - 1];
     EXPECT_TRUE(delta == 1 || delta > 1);
-    if (split.valid[i] % 100 != 0) EXPECT_EQ(delta, 1);
+    if (split.valid[i] % 100 != 0) {
+      EXPECT_EQ(delta, 1);
+    }
   }
 }
 

@@ -243,7 +243,7 @@ std::vector<Param> make_test_params(int rank) {
   std::vector<Param> params;
   params.reserve(shapes.size());
   for (std::size_t s = 0; s < shapes.size(); ++s) {
-    Param p("p" + std::to_string(s), Tensor(shapes[s]));
+    Param p(std::string("p").append(std::to_string(s)), Tensor(shapes[s]));
     auto g = p.grad.data();
     for (std::size_t i = 0; i < g.size(); ++i) {
       g[i] = std::ldexp(1.0f + 0.001f * static_cast<float>((i * 7 + s) % 911),

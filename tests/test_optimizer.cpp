@@ -42,6 +42,17 @@ TEST(Sgd, WeightDecayShrinks) {
   EXPECT_NEAR(p.value(0), 1.9f, 1e-6f);
 }
 
+TEST(Optimizer, DenseStepRejectsRowSparseTable) {
+  // A row-sparse table has no dense gradient: only step_rows may touch
+  // it, so a dense step must refuse rather than read past an empty grad.
+  Param table = Param::row_sparse("table", Tensor({3, 2}));
+  Param* ps[] = {&table};
+  Sgd sgd(0.1f);
+  EXPECT_THROW(sgd.step(ps), ConfigError);
+  Adam adam(Adam::Config{});
+  EXPECT_THROW(adam.step(ps), ConfigError);
+}
+
 TEST(Sgd, RowStepTouchesOnlyGivenRows) {
   Param table("t", Tensor::full({4, 2}, 1.0f));
   Tensor rows({2, 2});

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -14,6 +16,8 @@
 #include "zipflm/nn/generate.hpp"
 #include "zipflm/nn/lm_model.hpp"
 #include "zipflm/obs/metrics.hpp"
+#include "zipflm/obs/telemetry.hpp"
+#include "zipflm/obs/trace.hpp"
 #include "zipflm/serve/serve_client.hpp"
 #include "zipflm/serve/server.hpp"
 #include "zipflm/serve/sharded_server.hpp"
@@ -215,6 +219,45 @@ TEST(ShardedServerTest, RoutingIsDeterministicAndIdsDecode) {
               static_cast<std::size_t>(ids[i] % server.shard_count()));
   }
   server.stop();
+}
+
+TEST(ShardedServerTest, EachShardSchedulerTracesItsOwnLane) {
+#if !ZIPFLM_TRACE
+  GTEST_SKIP() << "tracing compiled out (ZIPFLM_TRACE=0)";
+#endif
+  // A trace lane is a single-writer ring, so the two shards' scheduler
+  // threads must each adopt their own.
+  Replicas replicas(2);
+  ShardedServer server(replicas.raw, ShardedServeOptions{});
+  std::set<std::size_t> shards;
+  for (std::uint64_t sid = 1; sid <= 8; ++sid) {
+    shards.insert(server.shard_of(sid));
+  }
+  ASSERT_EQ(shards.size(), 2u) << "sessions 1..8 must reach both shards";
+
+  obs::trace_clear();
+  obs::trace_enable(true);
+  server.start();
+  std::vector<std::uint64_t> ids;
+  for (std::uint64_t sid = 1; sid <= 8; ++sid) {
+    const Admission a =
+        server.submit(session_request(sid, {1, 2, 3}, 4, sid));
+    ASSERT_TRUE(a.accepted);
+    ids.push_back(a.request_id);
+  }
+  for (const std::uint64_t id : ids) server.wait(id);
+  server.stop();
+  obs::trace_enable(false);
+
+  std::set<std::string> scheduler_lanes;
+  for (const obs::LaneSnapshot& lane : obs::trace_lane_snapshot()) {
+    if (lane.label.rfind("serve scheduler", 0) != 0) continue;
+    for (const obs::OwnedTraceEvent& ev : lane.events) {
+      if (ev.name == "batch_step") scheduler_lanes.insert(lane.label);
+    }
+  }
+  obs::trace_clear();
+  EXPECT_EQ(scheduler_lanes.size(), 2u);
 }
 
 TEST(ShardedServerTest, SingleShardMatchesPlainServerBitwise) {

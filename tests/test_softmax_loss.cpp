@@ -25,6 +25,8 @@ TEST(FullSoftmaxLoss, GradientsMatchFiniteDifferences) {
   EXPECT_NEAR(l, loss_fn(), 1e-5);
 
   EXPECT_TRUE(grad_check(h, dh, loss_fn, 3e-3).passed(3e-2));
+  // The full softmax's output gradient is dense, so its table keeps one.
+  ASSERT_EQ(loss.embedding().grad.shape(), loss.embedding().value.shape());
   EXPECT_TRUE(
       grad_check(loss.embedding().value, loss.embedding().grad, loss_fn, 3e-3)
           .passed(3e-2));
@@ -57,6 +59,8 @@ TEST(SampledSoftmaxLoss, MatchesFullWhenCandidatesAreWholeVocab) {
   const float full = sampled.full_loss(h, targets);
   EXPECT_NEAR(l, full, 1e-5);
   ASSERT_EQ(grad.ids.size(), static_cast<std::size_t>(v));
+  // The sampled gradient is row-sparse: the table holds no dense one.
+  EXPECT_TRUE(sampled.embedding().grad.empty());
 }
 
 TEST(SampledSoftmaxLoss, GradientsMatchFiniteDifferencesOnCandidateSet) {

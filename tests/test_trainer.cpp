@@ -39,14 +39,18 @@ DistributedTrainer::ModelFactory tiny_word_factory(Index vocab) {
   };
 }
 
-DistributedTrainer::ModelFactory tiny_char_factory(Index vocab) {
-  return [vocab](int /*rank*/) -> std::unique_ptr<LmModel> {
+/// `shard_world` > 0 row-shards the input table over that many ranks.
+DistributedTrainer::ModelFactory tiny_char_factory(Index vocab,
+                                                   int shard_world = 0) {
+  return [vocab, shard_world](int rank) -> std::unique_ptr<LmModel> {
     CharLmConfig cfg;
     cfg.vocab = vocab;
     cfg.embed_dim = 8;
     cfg.hidden_dim = 10;
     cfg.depth = 2;
     cfg.seed = 99;
+    cfg.shard_rank = rank;
+    cfg.shard_world = shard_world;
     return std::make_unique<CharLm>(cfg);
   };
 }
@@ -106,6 +110,56 @@ TEST(Trainer, ReplicasStayBitIdentical) {
     EXPECT_TRUE(trainer.replicas_in_sync())
         << (unique ? "unique" : "dense")
         << " exchange let replicas diverge";
+  }
+}
+
+TEST(Trainer, TableGradientsExistOnlyAsRows) {
+  // Embedding gradients travel as rows (input_delta, SparseRowGrad), so
+  // no table ever holds a dense V x D gradient — before or after a
+  // synchronized step.  Every dense parameter keeps its full gradient.
+  const Index vocab = 40;
+  const auto train = tiny_corpus(vocab, 400, 9);
+  const auto valid = tiny_corpus(vocab, 100, 10);
+  const auto expect_rows_only = [](LmModel& model, const char* what) {
+    EXPECT_TRUE(model.input_embedding_param().grad.empty()) << what;
+    if (Param* out = model.sampled_output_param(); out != nullptr) {
+      EXPECT_TRUE(out->grad.empty()) << what;
+    }
+    if (ShardedEmbedding* se = model.sharded_input(); se != nullptr) {
+      EXPECT_TRUE(se->param().grad.empty()) << what;
+    }
+    for (const Param* p : model.dense_params()) {
+      EXPECT_EQ(p->grad.shape(), p->value.shape()) << what << ' ' << p->name;
+    }
+  };
+
+  for (const int gpus : {1, 4}) {
+    struct Case {
+      const char* what;
+      DistributedTrainer::ModelFactory factory;
+      bool sampled;
+      bool sharded;
+    };
+    const Case cases[] = {
+        {"word", tiny_word_factory(vocab), true, false},
+        {"char", tiny_char_factory(vocab), false, false},
+        {"char sharded", tiny_char_factory(vocab, gpus), false, true},
+    };
+    for (const Case& c : cases) {
+      CommWorld world(gpus);
+      TrainerOptions opt = tiny_options();
+      if (c.sampled) opt.samples_per_rank = 12;
+      opt.shard_embedding = c.sharded;
+      DistributedTrainer trainer(world, c.factory, opt);
+      for (int r = 0; r < gpus; ++r) {
+        expect_rows_only(trainer.model(r), c.what);
+      }
+      const EpochStats stats = trainer.run_epoch(train, valid, 0);
+      EXPECT_GT(stats.steps, 0u) << c.what << " G=" << gpus;
+      for (int r = 0; r < gpus; ++r) {
+        expect_rows_only(trainer.model(r), c.what);
+      }
+    }
   }
 }
 

@@ -141,7 +141,7 @@ Row poll_once(serve::ServeClient& client, const std::string& scope,
   for (const std::size_t k : discover_shards(snap, scope)) {
     const std::string base = scope + "/s" + std::to_string(k);
     const Row row = window_row(snap, prev, have_prev, base, dt_seconds);
-    const std::string label = "s" + std::to_string(k);
+    const std::string label = std::string("s").append(std::to_string(k));
     print_row(label.c_str(), row);
   }
 
