@@ -2,9 +2,8 @@
 // DenseExchange vs UniqueExchange over the thread-backed collectives,
 // swept over world size, tokens per rank and embedding dimension.
 // Also prices the wire codecs: raw encode+decode throughput per codec
-// (ns/elem — these numbers calibrate CodecCost in the strategy
-// selector's config) and the end-to-end UNIQUE exchange under each
-// WireFormat, reporting logical vs on-wire bytes.
+// (ns/elem) and the end-to-end UNIQUE exchange under each gradient wire
+// format (FP32, FP16, Packed, Int8), reporting logical vs on-wire bytes.
 // google-benchmark binary: run with --benchmark_filter=... as usual.
 #include <benchmark/benchmark.h>
 
@@ -87,8 +86,8 @@ BENCHMARK(BM_UniqueExchange)->Apply(sweep)->UseRealTime();
 // -- Codec conversion throughput -------------------------------------
 //
 // One encode + one decode per iteration over a gradient-like payload;
-// `ns_per_elem` is the combined conversion cost the selector's
-// CodecCost must amortize against the wire bytes saved.  `sparsity` is
+// `ns_per_elem` is the combined conversion cost a codec must amortize
+// against the wire bytes it saves.  `sparsity` is
 // the fraction of exact zeros (packed RLE feeds on them).
 
 void run_codec_roundtrip(benchmark::State& state, WireCodec codec) {
@@ -171,11 +170,12 @@ BENCHMARK(BM_IndexVarintRoundTrip)
 // -- End-to-end UNIQUE exchange per wire format ----------------------
 //
 // The full strategy (id allgatherv + M-block allreduce) under each of
-// the four WireFormats, index codec on for the coded formats.
+// the four gradient wire formats, index codec on for the coded formats.
 // `wire_bytes_per_step` counts what actually moved: raw ledger bytes
 // minus the coded collectives' logical bytes plus their encoded bytes.
 
-void run_coded_exchange(benchmark::State& state, WireFormat format) {
+void run_coded_exchange(benchmark::State& state, WirePrecision precision,
+                        WireCodec codec) {
   const int gpus = static_cast<int>(state.range(0));
   const std::size_t k = static_cast<std::size_t>(state.range(1));
   const Index d = static_cast<Index>(state.range(2));
@@ -192,8 +192,10 @@ void run_coded_exchange(benchmark::State& state, WireFormat format) {
         Tensor::randn({static_cast<Index>(k), d}, rng);
   }
 
-  ExchangeOptions opts = with_wire_format(ExchangeOptions{}, format);
-  opts.index_codec = opts.codec != WireCodec::None;
+  ExchangeOptions opts;
+  opts.precision = precision;
+  opts.codec = codec;
+  opts.index_codec = codec != WireCodec::None;
 
   CommWorld world(gpus);
   for (auto _ : state) {
@@ -224,16 +226,16 @@ void run_coded_exchange(benchmark::State& state, WireFormat format) {
 }
 
 void BM_UniqueExchangeFp32(benchmark::State& state) {
-  run_coded_exchange(state, WireFormat::FP32);
+  run_coded_exchange(state, WirePrecision::FP32, WireCodec::None);
 }
 void BM_UniqueExchangeFp16(benchmark::State& state) {
-  run_coded_exchange(state, WireFormat::FP16);
+  run_coded_exchange(state, WirePrecision::FP16, WireCodec::None);
 }
 void BM_UniqueExchangePacked(benchmark::State& state) {
-  run_coded_exchange(state, WireFormat::Packed);
+  run_coded_exchange(state, WirePrecision::FP32, WireCodec::Packed);
 }
 void BM_UniqueExchangeInt8(benchmark::State& state) {
-  run_coded_exchange(state, WireFormat::Int8);
+  run_coded_exchange(state, WirePrecision::FP32, WireCodec::Int8);
 }
 
 void format_sweep(benchmark::internal::Benchmark* b) {

@@ -68,9 +68,9 @@
 #include "zipflm/net/telemetry.hpp"
 #include "zipflm/nn/lm_model.hpp"
 #include "zipflm/nn/optimizer.hpp"
+#include "zipflm/obs/metrics.hpp"
 #include "zipflm/obs/telemetry.hpp"
 #include "zipflm/obs/trace.hpp"
-#include "zipflm/support/phase_timers.hpp"
 #include "zipflm/support/rng.hpp"
 #include "zipflm/support/stopwatch.hpp"
 #include "zipflm/tensor/ops.hpp"
@@ -83,6 +83,14 @@ namespace {
 using namespace zipflm;
 
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+
+/// Seconds accumulated under PhaseScope(name) since the last
+/// reset("phase/"): the registry gauge perfbench reads too.
+double phase_seconds(const char* name) {
+  return obs::MetricsRegistry::global()
+      .gauge(std::string("phase/") + name + "_seconds")
+      .value();
+}
 
 /// The host a RESULT row is comparable within, as a JSON object: core
 /// count, CPU model, the ISA the kernels dispatch to, and build type.
@@ -159,7 +167,7 @@ struct RankReport {
   double measured_seconds = 0.0;   ///< post-warmup wall time
   double exchange_seconds = 0.0;
   double optimizer_seconds = 0.0;
-  double forward_seconds = 0.0;    ///< socket children: own PhaseTimers
+  double forward_seconds = 0.0;    ///< socket children: own phase gauges
   double backward_seconds = 0.0;
   std::uint64_t unique_rows = 0;
   std::uint64_t wire_bytes_sent = 0;  ///< socket children only
@@ -169,7 +177,7 @@ struct RankReport {
 struct BenchConfig {
   CharLmConfig cfg;  // seed defaults: vocab 98, RHN 1792 x depth 10
   BatchSpec spec;
-  ExchangeOptions ex_opts{WirePrecision::FP16, 1024.0f, false};
+  ExchangeOptions ex_opts{WirePrecision::FP16, 1024.0f};
   int gpus = 1;
   bool shard_embedding = false;
   bool overlap = true;
@@ -230,7 +238,7 @@ RankReport run_rank(Communicator& comm, CharLm& model, Adam& opt,
   for (std::size_t step = 0; step < bc.total_steps(); ++step) {
     if (step == bc.warmup_steps) {
       comm.barrier();
-      if (r == 0) PhaseTimers::reset();
+      if (r == 0) obs::MetricsRegistry::global().reset("phase/");
       rep.exchange_seconds = rep.optimizer_seconds = 0.0;
       step_watch.reset();
     }
@@ -386,8 +394,8 @@ int run_socket_child(int rank, const std::string& rendezvous,
 
   RankReport rep =
       run_rank(pg->comm(), model, adam, *exchange, dense_sync, ids, bc);
-  rep.forward_seconds = PhaseTimers::seconds("forward");
-  rep.backward_seconds = PhaseTimers::seconds("backward");
+  rep.forward_seconds = phase_seconds("forward");
+  rep.backward_seconds = phase_seconds("backward");
   rep.wire_bytes_sent = pg->ledger().wire_bytes_sent;
 
   if (traced) {
@@ -664,14 +672,12 @@ int main(int argc, char** argv) {
     exchange_seconds = std::max(exchange_seconds, rep.exchange_seconds);
     optimizer_seconds = std::max(optimizer_seconds, rep.optimizer_seconds);
   }
-  // Thread mode reads the process-global phase timers (as the seed
-  // did); socket mode reads rank 0's own process.
-  const double forward_seconds = transport == "socket"
-                                     ? r0.forward_seconds
-                                     : PhaseTimers::seconds("forward");
-  const double backward_seconds = transport == "socket"
-                                      ? r0.backward_seconds
-                                      : PhaseTimers::seconds("backward");
+  // Thread mode reads the process-global phase gauges; socket mode
+  // reads rank 0's own process.
+  const double forward_seconds =
+      transport == "socket" ? r0.forward_seconds : phase_seconds("forward");
+  const double backward_seconds =
+      transport == "socket" ? r0.backward_seconds : phase_seconds("backward");
 
   // Aggregate throughput: every simulated GPU processes its own
   // tokens_per_rank each step (data parallelism), so the fleet's

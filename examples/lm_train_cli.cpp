@@ -2,7 +2,7 @@
 //
 //   lm_train_cli [--model word|char] [--gpus N] [--epochs N]
 //                [--vocab N] [--tokens N] [--batch N] [--seqlen N]
-//                [--no-unique] [--fp16] [--hierarchical]
+//                [--no-unique] [--fp16]
 //                [--seed-policy g|zipf|log2|loge|log10|shared]
 //                [--lr X] [--checkpoint PATH] [--resume] [--seed N]
 //                [--trace OUT.json] [--metrics-every N]
@@ -48,7 +48,6 @@ struct CliArgs {
   Index seqlen = 20;
   bool unique = true;
   bool fp16 = false;
-  bool hierarchical = false;
   SeedPolicy policy = SeedPolicy::ZipfFreq;
   float lr = 0.0f;  // 0 = model default
   std::string checkpoint;
@@ -62,7 +61,7 @@ struct CliArgs {
                  "usage: %s [--model word|char] [--gpus N] [--epochs N]\n"
                  "          [--vocab N] [--tokens N] [--batch N]\n"
                  "          [--seqlen N] [--no-unique] [--fp16]\n"
-                 "          [--hierarchical] [--seed-policy NAME]\n"
+                 "          [--seed-policy NAME]\n"
                  "          [--lr X] [--checkpoint PATH] [--resume]\n"
                  "          [--seed N] [--trace OUT.json]\n"
                  "          [--metrics-every N]\n",
@@ -98,8 +97,6 @@ struct CliArgs {
         a.unique = false;
       } else if (flag == "--fp16") {
         a.fp16 = true;
-      } else if (flag == "--hierarchical") {
-        a.hierarchical = true;
       } else if (flag == "--lr") {
         a.lr = static_cast<float>(std::atof(need_value(i)));
       } else if (flag == "--checkpoint") {
@@ -154,7 +151,6 @@ int main(int argc, char** argv) {
   TrainerOptions opt;
   opt.unique_exchange = args.unique;
   opt.wire = args.fp16 ? WirePrecision::FP16 : WirePrecision::FP32;
-  opt.hierarchical_dense_sync = args.hierarchical;
   opt.batch = BatchSpec{args.batch, args.seqlen};
   opt.charge_static_memory = false;
   opt.clip = 5.0f;
@@ -200,11 +196,10 @@ int main(int argc, char** argv) {
       },
       opt);
 
-  std::printf("%s LM | %d simulated GPUs | %s exchange | %s wire%s\n\n",
+  std::printf("%s LM | %d simulated GPUs | %s exchange | %s wire\n\n",
               args.model.c_str(), args.gpus,
               args.unique ? "UNIQUE" : "dense-allgather",
-              args.fp16 ? "FP16" : "FP32",
-              args.hierarchical ? " | hierarchical dense sync" : "");
+              args.fp16 ? "FP16" : "FP32");
   int start_epoch = 0;
   if (args.resume) {
     if (args.checkpoint.empty()) {

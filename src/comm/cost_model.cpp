@@ -40,16 +40,6 @@ double CostModel::ring_allgather_seconds(const Topology& topo,
   return (g - 1) * ring_step_seconds(topo, bytes_per_rank);
 }
 
-double CostModel::hierarchical_allreduce_seconds(
-    const Topology& topo, std::size_t buffer_bytes) const {
-  if (topo.world_size() <= 1 || buffer_bytes == 0) return 0.0;
-  const Topology node_topo{1, topo.gpus_per_node};
-  const Topology leader_topo{topo.nodes, 1};
-  return ring_allreduce_seconds(node_topo, buffer_bytes) +
-         ring_allreduce_seconds(leader_topo, buffer_bytes) +
-         broadcast_seconds(node_topo, buffer_bytes);
-}
-
 double CostModel::broadcast_seconds(const Topology& topo,
                                     std::size_t bytes) const {
   const int g = topo.world_size();

@@ -82,12 +82,6 @@ class Communicator {
   virtual void set_wire_codec(WireCodec codec) noexcept = 0;
   virtual WireCodec wire_codec() const noexcept = 0;
 
-  /// Achieved compression ratio (encoded / logical bytes, in (0, 1+])
-  /// of the final reduced chunks of the most recent coded allreduce, or
-  /// 0 when none ran.  Computed from globally-consistent data, so every
-  /// rank observes the same value — safe to feed lockstep decisions.
-  virtual double last_codec_ratio() const noexcept { return 0.0; }
-
   /// Sub-communicator spanning the ranks of this rank's node, or nullptr
   /// when the implementation does not support sub-groups.  Rank order
   /// within the group follows global rank order; this rank participates.

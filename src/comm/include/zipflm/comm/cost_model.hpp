@@ -24,20 +24,6 @@ struct LinkParams {
   }
 };
 
-/// Throughput of one wire codec's conversion kernels, measured on the
-/// payload's *logical* bytes (bench_exchange_micro reports both legs;
-/// the defaults below are calibrated from its scalar figures, so the
-/// selector never under-prices the codec on SIMD-less builds).
-struct CodecCost {
-  double encode_Bps = 1.0;  ///< logical bytes encoded per second
-  double decode_Bps = 1.0;  ///< logical bytes decoded per second
-
-  double convert_seconds(std::size_t logical_bytes) const {
-    return static_cast<double>(logical_bytes) / encode_Bps +
-           static_cast<double>(logical_bytes) / decode_Bps;
-  }
-};
-
 struct CostModel {
   LinkParams intra_node;  ///< PCIe (paper: 32 GB/s bidirectional)
   LinkParams inter_node;  ///< IB FDR (paper: 15 GB/s bidirectional)
@@ -67,23 +53,6 @@ struct CostModel {
   double ring_allgather_seconds(const Topology& topo,
                                 std::size_t bytes_per_rank) const;
   double broadcast_seconds(const Topology& topo, std::size_t bytes) const;
-
-  // -- Strategy-selection query API -----------------------------------
-  // Per-collective predictions the per-step exchange strategy selector
-  // (core/strategy_select.hpp) composes into whole-strategy costs.
-
-  /// allgatherv modeled at its critical block size: every ring step
-  /// forwards one rank's block, the largest block paces the ring.
-  double ring_allgatherv_seconds(const Topology& topo,
-                                 std::size_t max_block_bytes) const {
-    return ring_allgather_seconds(topo, max_block_bytes);
-  }
-
-  /// Two-level node/leader allreduce (comm/hierarchical.hpp): an
-  /// intra-node ring reduce, an inter-node ring over the node leaders,
-  /// then an intra-node broadcast of the result.
-  double hierarchical_allreduce_seconds(const Topology& topo,
-                                        std::size_t buffer_bytes) const;
 };
 
 }  // namespace zipflm

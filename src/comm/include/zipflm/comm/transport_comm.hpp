@@ -82,9 +82,6 @@ class TransportComm final : public Communicator {
 
   void set_wire_codec(WireCodec codec) noexcept override { codec_ = codec; }
   WireCodec wire_codec() const noexcept override { return codec_; }
-  double last_codec_ratio() const noexcept override {
-    return last_codec_ratio_;
-  }
 
  private:
   enum class CollOp : std::uint8_t {
@@ -158,20 +155,17 @@ class TransportComm final : public Communicator {
 
   /// Coded ring body: hops move encoded chunks behind u32 size
   /// prefixes; phase 2 forwards the owner's encoding verbatim so every
-  /// rank decodes identical bytes.  Returns the summed encoded size of
-  /// the final chunks (globally consistent — the ratio feed).
+  /// rank decodes identical bytes.
   template <typename T, typename Red>
-  std::uint64_t ring_allreduce_coded(std::span<T> data, Red reduce,
-                                     WireCodec codec,
-                                     std::uint64_t& moved_elems,
-                                     std::uint64_t& enc_wire);
+  void ring_allreduce_coded(std::span<T> data, Red reduce, WireCodec codec,
+                            std::uint64_t& moved_elems,
+                            std::uint64_t& enc_wire);
 
   net::Transport& transport_;
   Topology topo_;
   Hooks hooks_;
   std::uint32_t seq_ = 0;  ///< collective counter, validated peer-to-peer
   WireCodec codec_ = WireCodec::None;
-  double last_codec_ratio_ = 0.0;
   bool pending_corrupt_ = false;
 };
 

@@ -143,9 +143,6 @@ class ThreadRankComm final : public Communicator {
 
   void set_wire_codec(WireCodec codec) noexcept override { codec_ = codec; }
   WireCodec wire_codec() const noexcept override { return codec_; }
-  double last_codec_ratio() const noexcept override {
-    return last_codec_ratio_;
-  }
 
   void allgather_bytes(std::span<const std::byte> local,
                        std::span<std::byte> out) override {
@@ -578,11 +575,9 @@ class ThreadRankComm final : public Communicator {
 
       // Wire-codec bookkeeping.  Every final chunk is now staged
       // locally and bitwise identical on every rank, so encoding here
-      // gives every rank the same sizes (for the wire model and the
-      // lockstep compression-ratio feedback) and, for INT8, the same
-      // owner encoding to round-trip from.  Reads only local data, so
-      // it can overlap the other ranks' copy loops.
-      std::uint64_t enc_total = 0;
+      // gives every rank the same sizes (for the wire model) and, for
+      // INT8, the same owner encoding to round-trip from.  Reads only
+      // local data, so it can overlap the other ranks' copy loops.
       std::uint64_t wire_model = 0;
       thread_local std::vector<std::vector<std::byte>> final_enc;
       if (codec != WireCodec::None) {
@@ -596,7 +591,6 @@ class ThreadRankComm final : public Communicator {
           encode_grad_chunk(
               codec, std::span<const T>(data.data() + r.begin, r.size()), e);
           sizes[static_cast<std::size_t>(c)] = e.size();
-          enc_total += e.size();
         }
         // Model the transport ring's per-rank wire volume: each hop of
         // either phase moves one encoded chunk plus a 4-byte size
@@ -636,10 +630,6 @@ class ThreadRankComm final : public Communicator {
                              codec == WireCodec::Packed ? CodecSlot::Packed
                                                         : CodecSlot::Int8,
                              moved_elems * sizeof(T), wire_model);
-        last_codec_ratio_ =
-            payload == 0 ? 0.0
-                         : static_cast<double>(enc_total) /
-                               static_cast<double>(payload);
       }
     }
   }
@@ -649,7 +639,6 @@ class ThreadRankComm final : public Communicator {
   const int rank_;
   const int global_rank_;
   WireCodec codec_ = WireCodec::None;
-  double last_codec_ratio_ = 0.0;
   bool pending_corrupt_ = false;
   std::unique_ptr<ThreadRankComm> node_;
   std::unique_ptr<ThreadRankComm> leaders_;

@@ -185,17 +185,16 @@ void TransportComm::barrier() {
 }
 
 template <typename T, typename Red>
-std::uint64_t TransportComm::ring_allreduce_coded(std::span<T> data,
-                                                  Red reduce, WireCodec codec,
-                                                  std::uint64_t& moved_elems,
-                                                  std::uint64_t& enc_wire) {
+void TransportComm::ring_allreduce_coded(std::span<T> data, Red reduce,
+                                         WireCodec codec,
+                                         std::uint64_t& moved_elems,
+                                         std::uint64_t& enc_wire) {
   const int g = world_size();
   const int right = wrap(rank() + 1, g);
   const int left = wrap(rank() - 1, g);
   const std::size_t n = data.size();
   std::vector<T> scratch(chunk_range(n, g, 0).size());
   std::vector<std::byte> enc_send, enc_recv, enc_fwd;
-  std::uint64_t enc_final_total = 0;
 
   // One ring hop of encoded bytes: a u32 size exchange followed by the
   // variably-sized payload (chunk encodings differ in length between
@@ -255,7 +254,6 @@ std::uint64_t TransportComm::ring_allreduce_coded(std::span<T> data,
         encode_grad_chunk(
             codec, std::span<const T>(data.data() + sr.begin, sr.size()),
             enc_send);
-        enc_final_total += enc_send.size();
         if (lossy) {
           decode_grad_chunk(codec, std::span<const std::byte>(enc_send),
                             std::span<T>(data.data() + sr.begin, sr.size()));
@@ -267,7 +265,6 @@ std::uint64_t TransportComm::ring_allreduce_coded(std::span<T> data,
     } else {
       hop(enc_fwd);
     }
-    enc_final_total += enc_recv.size();
     if (rr.size() != 0) {
       decode_grad_chunk(codec, std::span<const std::byte>(enc_recv),
                         std::span<T>(data.data() + rr.begin, rr.size()));
@@ -275,7 +272,6 @@ std::uint64_t TransportComm::ring_allreduce_coded(std::span<T> data,
     enc_fwd.swap(enc_recv);
     moved_elems += sr.size();
   }
-  return enc_final_total;
 }
 
 template <typename T, typename Red>
@@ -305,8 +301,8 @@ void TransportComm::ring_allreduce(std::span<T> data, CollOp op,
 
       if (codec != WireCodec::None) {
         std::uint64_t enc_wire = 0;
-        const std::uint64_t enc_total = ring_allreduce_coded<T, Red>(
-            data, reduce, codec, moved_elems, enc_wire);
+        ring_allreduce_coded<T, Red>(data, reduce, codec, moved_elems,
+                                     enc_wire);
         record_codec_traffic(led,
                              codec == WireCodec::Packed ? CodecSlot::Packed
                                                         : CodecSlot::Int8,
@@ -315,10 +311,6 @@ void TransportComm::ring_allreduce(std::span<T> data, CollOp op,
         // trace can show compression ratios without the ledger.
         span.set_arg3("wire_bytes", static_cast<double>(enc_wire));
         span.set_arg4("codec", static_cast<double>(static_cast<int>(codec)));
-        last_codec_ratio_ =
-            payload == 0 ? 0.0
-                         : static_cast<double>(enc_total) /
-                               static_cast<double>(payload);
       } else {
         // Chunk 0 is always the largest (the first n%g chunks carry the
         // remainder), so one scratch buffer serves every receive.

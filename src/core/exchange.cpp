@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "zipflm/comm/hierarchical.hpp"
 #include "zipflm/support/thread_pool.hpp"
 #include "zipflm/tensor/cast.hpp"
 #include "zipflm/tensor/ops.hpp"
@@ -252,23 +251,15 @@ void UniqueExchange::exchange(Communicator& comm, std::span<const Index> ids,
     std::copy(src.begin(), src.end(), dst.begin());
   }
 
-  // Step 6: ALLREDUCE over M — Θ(U_g·D) wire bytes (two-level when
-  // configured and the communicator spans multiple nodes).
+  // Step 6: ALLREDUCE over M — Θ(U_g·D) wire bytes.
   if (g > 1) {
     WireCodecScope codec_scope(comm, options_.codec);
-    auto reduce = [&](auto span) {
-      if (options_.hierarchical_allreduce) {
-        hierarchical_allreduce_sum(comm, span);
-      } else {
-        comm.allreduce_sum(span);
-      }
-    };
     if (options_.precision == WirePrecision::FP32) {
-      reduce(out_rows.data());
+      comm.allreduce_sum(out_rows.data());
     } else {
       std::vector<Half> wire;
       compress_fp16(out_rows.data(), options_.compression_scale, wire);
-      reduce(std::span<Half>(wire));
+      comm.allreduce_sum(std::span<Half>(wire));
       std::vector<float> up;
       decompress_fp16(wire, options_.compression_scale, up);
       std::memcpy(out_rows.data().data(), up.data(),

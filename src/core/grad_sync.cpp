@@ -3,49 +3,33 @@
 #include <algorithm>
 #include <vector>
 
-#include "zipflm/comm/hierarchical.hpp"
 #include "zipflm/support/error.hpp"
 #include "zipflm/tensor/cast.hpp"
 #include "zipflm/tensor/ops.hpp"
 
 namespace zipflm {
 
-namespace {
-template <typename T>
-void allreduce(Communicator& comm, std::span<T> data, bool hierarchical) {
-  if (hierarchical) {
-    hierarchical_allreduce_sum(comm, data);
-  } else {
-    comm.allreduce_sum(data);
-  }
-}
-}  // namespace
-
-void DenseGradSync::reduce(Communicator& comm, Param& param,
-                           const ExchangeOptions& opts) {
+void DenseGradSync::reduce(Communicator& comm, Param& param) {
   if (comm.world_size() > 1) {
     const std::span<float> g = param.grad.data();
-    if (opts.precision == WirePrecision::FP32) {
-      allreduce<float>(comm, g, opts.hierarchical_allreduce);
+    if (options_.precision == WirePrecision::FP32) {
+      comm.allreduce_sum(g);
     } else {
       // Reduce straight out of / into the gradient through the one wire
       // buffer.  Its old contents are dead, so growing it never copies.
       if (wire_.size() < g.size()) wire_ = std::vector<Half>(g.size());
       const std::span<Half> wire(wire_.data(), g.size());
-      compress_fp16(g, opts.compression_scale, wire);
-      allreduce<Half>(comm, wire, opts.hierarchical_allreduce);
-      decompress_fp16(wire, opts.compression_scale, g);
+      compress_fp16(g, options_.compression_scale, wire);
+      comm.allreduce_sum(wire);
+      decompress_fp16(wire, options_.compression_scale, g);
     }
   }
   scale(param.grad, 1.0f / static_cast<float>(comm.world_size()));
 }
 
-void DenseGradSync::sync(Communicator& comm, std::span<Param* const> params,
-                         const ExchangeOptions* override_opts) {
-  const ExchangeOptions& opts =
-      override_opts != nullptr ? *override_opts : options_;
-  WireCodecScope codec_scope(comm, opts.codec);
-  for (Param* p : params) reduce(comm, *p, opts);
+void DenseGradSync::sync(Communicator& comm, std::span<Param* const> params) {
+  WireCodecScope codec_scope(comm, options_.codec);
+  for (Param* p : params) reduce(comm, *p);
 }
 
 void DenseGradSync::rebuild_plan(std::span<Param* const> params) {
@@ -118,7 +102,7 @@ void DenseGradSync::run_bucket(Communicator& comm, std::size_t index) {
   // so every FaultSpec::at_collective index) independent of bucketing.
   // The bucket is purely the launch granularity: one engine job covering
   // every parameter whose gradient finalized together.
-  for (Param* p : plan_[index].params) reduce(comm, *p, options_);
+  for (Param* p : plan_[index].params) reduce(comm, *p);
 }
 
 void DenseGradSync::finish() {

@@ -33,61 +33,16 @@ namespace zipflm {
 
 enum class WirePrecision : std::uint8_t { FP32, FP16 };
 
-/// Wire format of the gradient leg: the (precision, codec) pair the
-/// strategy selector arbitrates per step.  FP32/FP16 are the raw
-/// formats; Packed is FP32 payload under the lossless byte-plane codec;
-/// Int8 is FP32 payload quantized to int8 with a per-chunk scale.
-enum class WireFormat : std::uint8_t { FP32 = 0, FP16 = 1, Packed = 2, Int8 = 3 };
-
-inline constexpr std::size_t kWireFormatCount = 4;
-
-constexpr WirePrecision wire_format_precision(WireFormat f) {
-  return f == WireFormat::FP16 ? WirePrecision::FP16 : WirePrecision::FP32;
-}
-
-constexpr WireCodec wire_format_codec(WireFormat f) {
-  return f == WireFormat::Packed ? WireCodec::Packed
-         : f == WireFormat::Int8 ? WireCodec::Int8
-                                 : WireCodec::None;
-}
-
-constexpr const char* wire_format_name(WireFormat f) {
-  switch (f) {
-    case WireFormat::FP32:
-      return "fp32";
-    case WireFormat::FP16:
-      return "fp16";
-    case WireFormat::Packed:
-      return "packed";
-    case WireFormat::Int8:
-      return "int8";
-  }
-  return "?";
-}
-
 struct ExchangeOptions {
   WirePrecision precision = WirePrecision::FP32;
   /// Compression-scaling factor F for FP16 (paper: 256 / 512 / 1024).
   float compression_scale = 1024.0f;
-  /// Use the two-level node/leader allreduce where the communicator
-  /// supports it (see comm/hierarchical.hpp for when this pays off).
-  bool hierarchical_allreduce = false;
   /// Gradient wire codec armed (via WireCodecScope) around the
-  /// strategy's sum-allreduces.  Ignored by the hierarchical path —
-  /// sub-communicators keep their own (None) arming, so two-level legs
-  /// always move raw bytes.
+  /// strategy's sum-allreduces.
   WireCodec codec = WireCodec::None;
   /// Delta+varint-code the index allgatherv (all strategies share it).
   bool index_codec = false;
 };
-
-/// `base` re-pointed at one wire format: precision and codec follow the
-/// format, every other knob is preserved.
-constexpr ExchangeOptions with_wire_format(ExchangeOptions base, WireFormat f) {
-  base.precision = wire_format_precision(f);
-  base.codec = wire_format_codec(f);
-  return base;
-}
 
 /// An index ALLGATHER kicked off eagerly — the token ids are known at
 /// batch time, long before backward produces the gradient rows — so the

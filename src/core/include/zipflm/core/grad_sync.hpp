@@ -48,19 +48,7 @@ class DenseGradSync {
   /// (data-parallel averaging).  FP16 mode down-casts with
   /// compression-scaling before the wire and up-casts after; a gradient
   /// wire codec in the options is armed around the allreduces.
-  /// `override_opts`, when non-null, replaces the constructed options
-  /// for this call only — the adaptive wire-format selector's hook on
-  /// the non-overlapped path.
-  void sync(Communicator& comm, std::span<Param* const> params,
-            const ExchangeOptions* override_opts = nullptr);
-
-  /// Re-point the wire options (precision / codec / scale) for
-  /// subsequent steps — the adaptive selector's hook on the overlapped
-  /// path, called per rank before begin_step.  Must not be called while
-  /// a step is armed.
-  void set_wire_options(const ExchangeOptions& options) noexcept {
-    options_ = options;
-  }
+  void sync(Communicator& comm, std::span<Param* const> params);
 
   // -- Overlapped bucketed path ---------------------------------------
 
@@ -116,7 +104,7 @@ class DenseGradSync {
   void run_bucket(Communicator& comm, std::size_t index);
   /// Allreduce one gradient in place and divide by world size: the
   /// loop body both modes share.
-  void reduce(Communicator& comm, Param& param, const ExchangeOptions& opts);
+  void reduce(Communicator& comm, Param& param);
 
   ExchangeOptions options_;
   bool overlap_ = true;

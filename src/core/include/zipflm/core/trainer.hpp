@@ -15,7 +15,6 @@
 // bit-identical across steps" is continuously testable.
 #pragma once
 
-#include <array>
 #include <functional>
 #include <iosfwd>
 #include <memory>
@@ -29,7 +28,6 @@
 #include "zipflm/core/grad_sync.hpp"
 #include "zipflm/core/sharded_exchange.hpp"
 #include "zipflm/core/seeding.hpp"
-#include "zipflm/core/strategy_select.hpp"
 #include "zipflm/data/batch.hpp"
 #include "zipflm/device/device.hpp"
 #include "zipflm/nn/lm_model.hpp"
@@ -49,9 +47,6 @@ struct TrainerOptions {
   WireCodec wire_codec = WireCodec::None;
   /// Delta+varint-code the index allgatherv legs (always lossless).
   bool index_codec = false;
-  /// Two-level node/leader allreduce for the dense parameters (pays off
-  /// on NVLink-class nodes; see bench_ablation_hierarchical).
-  bool hierarchical_dense_sync = false;
   SeedPolicy seed_policy = SeedPolicy::PerRank;  ///< Section III-B
   Index samples_per_rank = 0;     ///< S; 0 = full softmax (char LM)
 
@@ -94,13 +89,6 @@ struct TrainerOptions {
   /// ledger expectations of existing configs.
   bool overlapped_exchange = false;
   std::size_t overlap_bucket_bytes = std::size_t{4} << 20;
-  /// Per-step input-embedding strategy selection (core/strategy_select):
-  /// price allgather-dense vs unique vs hierarchical-unique with the
-  /// comm cost model and the previous step's measured U_g, switch with
-  /// hysteresis.  Replaces the static unique_exchange choice when on;
-  /// decisions are logged per rank (strategy_selector()).
-  bool adaptive_exchange = false;
-  double strategy_hysteresis = 0.2;
   /// Row-shard the input embedding table across ranks (char LM only):
   /// rank r owns rows [r*V/G, (r+1)*V/G) plus their Adam moment slices,
   /// forward rows are pulled per step and gradient rows pushed to their
@@ -108,14 +96,9 @@ struct TrainerOptions {
   /// shards (CharLmConfig::shard_rank/shard_world = rank/world).
   /// Replicated mode stays the default and the bitwise test oracle:
   /// sharded losses and assembled weights are `==` replicated ones.
-  /// Requires FP32 wire, static (non-adaptive) exchange, and no dynamic
-  /// loss scaling; Packed/index codecs apply to the row payloads.
+  /// Requires FP32 wire and no dynamic loss scaling; Packed/index
+  /// codecs apply to the row payloads.
   bool shard_embedding = false;
-  /// Let the selector also arbitrate the gradient wire format (FP32 /
-  /// FP16 / Packed / Int8) per step, fed back with the measured
-  /// compression ratios.  Requires adaptive_exchange; the arbitration is
-  /// lockstep for the same reason the kind choice is.
-  bool adaptive_wire_format = false;
 };
 
 struct EpochStats {
@@ -193,25 +176,14 @@ class DistributedTrainer {
   /// first live rank's.
   bool replicas_in_sync();
 
-  /// The per-rank strategy decision log (adaptive_exchange only, else
-  /// nullptr).  Every rank's log is identical — lockstep selection.
-  const ExchangeStrategySelector* strategy_selector(int rank) const;
-
  private:
   /// Returns false when the overflow guard skipped the optimizer step.
-  /// `exchange` is the strategy for this step (adaptive selection);
   /// `dense_sync` is this rank's, armed when overlap is on; `pending` is
-  /// the eager id gather, or nullptr for the synchronous path;
-  /// `fmt_opts` overrides the dense sync's wire options for this step
-  /// (adaptive wire format), or nullptr.
+  /// the eager id gather, or nullptr for the synchronous path.
   bool sync_step(Communicator& comm, LmModel& model, Optimizer& opt,
                  MemoryPool& pool, LossScaler* scaler,
                  const LmStepResult& res, std::uint64_t* unique_out,
-                 EmbeddingExchange* exchange, DenseGradSync& dense_sync,
-                 const PendingIdGather* pending,
-                 const ExchangeOptions* fmt_opts);
-
-  EmbeddingExchange* exchange_for(ExchangeKind kind, WireFormat format);
+                 DenseGradSync& dense_sync, const PendingIdGather* pending);
 
   /// The replicated param layout of one rank, with the sharded table
   /// entry (when present) redirected to `full` — the canonical
@@ -224,14 +196,6 @@ class DistributedTrainer {
   /// Non-null iff options_.shard_embedding: the pull/push strategy that
   /// exchange_ owns, typed for the per-step pull calls.
   ShardedEmbeddingExchange* sharded_exchange_ = nullptr;
-  /// Strategy instances indexed by ExchangeKind — or by
-  /// kind * kWireFormatCount + format under adaptive_wire_format
-  /// (adaptive mode only; stateless and shared across rank threads like
-  /// exchange_).
-  std::vector<std::unique_ptr<EmbeddingExchange>> kind_exchanges_;
-  /// Per-format dense-sync options (adaptive_wire_format only).
-  std::array<ExchangeOptions, kWireFormatCount> format_opts_{};
-  std::vector<std::unique_ptr<ExchangeStrategySelector>> selectors_;
   std::vector<DenseGradSync> dense_syncs_;  ///< per global rank
   std::optional<ControlledSampler> sampler_;
   std::vector<std::unique_ptr<LmModel>> models_;

@@ -192,8 +192,6 @@ ShardedEmbeddingExchange::ShardedEmbeddingExchange(Index vocab, Index dim,
   ZIPFLM_CHECK(options_.precision == WirePrecision::FP32,
                "sharded exchange moves FP32 rows (compression-scaled FP16 "
                "wire is a replicated-path feature)");
-  ZIPFLM_CHECK(!options_.hierarchical_allreduce,
-               "sharded exchange has no hierarchical leg");
 }
 
 void ShardedEmbeddingExchange::pull(Communicator& comm, ShardedEmbedding& emb,

@@ -12,7 +12,7 @@
 #include "zipflm/core/checkpoint.hpp"
 #include "zipflm/obs/metrics.hpp"
 #include "zipflm/obs/trace.hpp"
-#include "zipflm/support/phase_timers.hpp"
+#include "zipflm/support/phase_scope.hpp"
 #include "zipflm/support/serialize.hpp"
 #include "zipflm/tensor/ops.hpp"
 
@@ -69,13 +69,9 @@ DistributedTrainer::DistributedTrainer(CommWorld& world,
                                        const ModelFactory& factory,
                                        TrainerOptions options)
     : world_(world), options_(options) {
-  ZIPFLM_CHECK(!options_.adaptive_wire_format || options_.adaptive_exchange,
-               "adaptive_wire_format needs adaptive_exchange (the selector "
-               "owns the format arbitration)");
   ExchangeOptions ex_opts;
   ex_opts.precision = options_.wire;
   ex_opts.compression_scale = options_.compression_scale;
-  ex_opts.hierarchical_allreduce = options_.hierarchical_dense_sync;
   ex_opts.codec = options_.wire_codec;
   ex_opts.index_codec = options_.index_codec;
   if (!options_.shard_embedding) {
@@ -117,11 +113,6 @@ DistributedTrainer::DistributedTrainer(CommWorld& world,
     ZIPFLM_CHECK(options_.wire == WirePrecision::FP32,
                  "shard_embedding needs the FP32 wire (compression-scaled "
                  "FP16 is a replicated-path feature)");
-    ZIPFLM_CHECK(!options_.adaptive_exchange,
-                 "shard_embedding is a static table layout; the adaptive "
-                 "selector only arbitrates replicated strategies");
-    ZIPFLM_CHECK(!options_.hierarchical_dense_sync,
-                 "shard_embedding's alltoallv rides the flat ring only");
     ZIPFLM_CHECK(!options_.dynamic_loss_scale,
                  "shard_embedding returns per-owner gradient rows, so the "
                  "overflow scan would not be uniform across ranks");
@@ -163,72 +154,6 @@ DistributedTrainer::DistributedTrainer(CommWorld& world,
     dense_syncs_.emplace_back(ex_opts);
     dense_syncs_.back().set_bucket_bytes(options_.overlap_bucket_bytes);
   }
-  if (options_.adaptive_exchange) {
-    ExchangeOptions hier_opts = ex_opts;
-    hier_opts.hierarchical_allreduce = true;
-    const auto make_kind = [&](ExchangeKind kind, const ExchangeOptions& o)
-        -> std::unique_ptr<EmbeddingExchange> {
-      if (kind == ExchangeKind::DenseAllgather) {
-        return std::make_unique<DenseExchange>(o);
-      }
-      return std::make_unique<UniqueExchange>(o);
-    };
-    if (options_.adaptive_wire_format) {
-      // One instance per (kind, format) so the lockstep format choice
-      // maps straight to a pre-built strategy — no per-step mutation of
-      // shared options.
-      kind_exchanges_.resize(3 * kWireFormatCount);
-      for (std::size_t k = 0; k < 3; ++k) {
-        const ExchangeKind kind = static_cast<ExchangeKind>(k);
-        const ExchangeOptions& base =
-            kind == ExchangeKind::HierarchicalUnique ? hier_opts : ex_opts;
-        for (std::size_t f = 0; f < kWireFormatCount; ++f) {
-          const WireFormat fmt = static_cast<WireFormat>(f);
-          kind_exchanges_[k * kWireFormatCount + f] =
-              make_kind(kind, with_wire_format(base, fmt));
-        }
-      }
-      for (std::size_t f = 0; f < kWireFormatCount; ++f) {
-        format_opts_[f] =
-            with_wire_format(ex_opts, static_cast<WireFormat>(f));
-      }
-    } else {
-      kind_exchanges_.resize(3);
-      kind_exchanges_[static_cast<std::size_t>(ExchangeKind::Unique)] =
-          std::make_unique<UniqueExchange>(ex_opts);
-      kind_exchanges_[static_cast<std::size_t>(ExchangeKind::DenseAllgather)] =
-          std::make_unique<DenseExchange>(ex_opts);
-      kind_exchanges_[static_cast<std::size_t>(
-          ExchangeKind::HierarchicalUnique)] =
-          std::make_unique<UniqueExchange>(hier_opts);
-    }
-
-    ExchangeStrategySelector::Config scfg;
-    scfg.vocab = models_.front()->vocab();
-    scfg.dim = models_.front()->embed_dim();
-    scfg.wire = options_.wire;
-    scfg.tokens_per_rank =
-        static_cast<std::uint64_t>(options_.batch.tokens_per_rank());
-    scfg.hysteresis = options_.strategy_hysteresis;
-    scfg.initial = options_.unique_exchange ? ExchangeKind::Unique
-                                            : ExchangeKind::DenseAllgather;
-    scfg.adapt_format = options_.adaptive_wire_format;
-    scfg.initial_format =
-        options_.wire_codec == WireCodec::Int8     ? WireFormat::Int8
-        : options_.wire_codec == WireCodec::Packed ? WireFormat::Packed
-        : options_.wire == WirePrecision::FP16     ? WireFormat::FP16
-                                                   : WireFormat::FP32;
-    // Per-rank selectors with identical inputs: every rank prices the
-    // same strategies from the same (previous-step, globally consistent)
-    // U_g, so the choices march in lockstep without a vote collective —
-    // the LossScaler pattern.
-    selectors_.reserve(static_cast<std::size_t>(g));
-    for (int r = 0; r < g; ++r) {
-      selectors_.push_back(std::make_unique<ExchangeStrategySelector>(
-          scfg, world.cost_model(), world.topology()));
-    }
-  }
-
   if (options_.charge_static_memory) {
     // Parameters + gradients (+ optimizer moments for Adam) and the BPTT
     // activation window are resident for the whole run.
@@ -250,25 +175,6 @@ LmModel& DistributedTrainer::model(int rank) {
   return *models_[static_cast<std::size_t>(rank)];
 }
 
-const ExchangeStrategySelector* DistributedTrainer::strategy_selector(
-    int rank) const {
-  if (selectors_.empty()) return nullptr;
-  ZIPFLM_CHECK(rank >= 0 && rank < static_cast<int>(selectors_.size()),
-               "rank out of range");
-  return selectors_[static_cast<std::size_t>(rank)].get();
-}
-
-EmbeddingExchange* DistributedTrainer::exchange_for(ExchangeKind kind,
-                                                    WireFormat format) {
-  std::size_t i = static_cast<std::size_t>(kind);
-  if (options_.adaptive_wire_format) {
-    i = i * kWireFormatCount + static_cast<std::size_t>(format);
-  }
-  EmbeddingExchange* ex = kind_exchanges_[i].get();
-  ZIPFLM_ASSERT(ex != nullptr, "adaptive exchange strategy not built");
-  return ex;
-}
-
 const MemoryPool& DistributedTrainer::pool(int rank) const {
   ZIPFLM_CHECK(rank >= 0 && rank < world_.total_ranks(), "rank out of range");
   return *pools_[static_cast<std::size_t>(rank)];
@@ -279,10 +185,8 @@ bool DistributedTrainer::sync_step(Communicator& comm, LmModel& model,
                                    LossScaler* scaler,
                                    const LmStepResult& res,
                                    std::uint64_t* unique_out,
-                                   EmbeddingExchange* exchange,
                                    DenseGradSync& dense_sync,
-                                   const PendingIdGather* pending,
-                                   const ExchangeOptions* fmt_opts) {
+                                   const PendingIdGather* pending) {
   const float inv_world = 1.0f / static_cast<float>(comm.world_size());
   const auto dense = model.dense_params();
 
@@ -301,12 +205,12 @@ bool DistributedTrainer::sync_step(Communicator& comm, LmModel& model,
     if (options_.overlapped_exchange) {
       dense_sync.finish();
     } else {
-      dense_sync.sync(comm, dense, fmt_opts);
+      dense_sync.sync(comm, dense);
     }
 
     // Input embedding: the exchange under test.
-    exchange->exchange(comm, res.input_ids, res.input_delta, uids, urows,
-                       &pool, pending);
+    exchange_->exchange(comm, res.input_ids, res.input_delta, uids, urows,
+                        &pool, pending);
     scale(urows, inv_world);
     if (unique_out != nullptr) *unique_out = uids.size();
 
@@ -318,8 +222,8 @@ bool DistributedTrainer::sync_step(Communicator& comm, LmModel& model,
       out_emb = model.sampled_output_param();
       ZIPFLM_ASSERT(out_emb != nullptr,
                     "sparse output gradient without a sampled output param");
-      exchange->exchange(comm, res.output_grad.ids, res.output_grad.rows,
-                         ouids, ourows, &pool);
+      exchange_->exchange(comm, res.output_grad.ids, res.output_grad.rows,
+                          ouids, ourows, &pool);
       scale(ourows, inv_world);
     }
 
@@ -391,9 +295,6 @@ EpochStats DistributedTrainer::run_epoch(std::span<const Index> train_ids,
       model.set_backward_hook(
           [&dsync](const Param& p) { dsync.notify_ready(&p); });
     }
-    ExchangeStrategySelector* selector =
-        selectors_.empty() ? nullptr
-                           : selectors_[static_cast<std::size_t>(r)].get();
     // Unhook + disarm on every exit (including a fault unwinding the
     // epoch) so the model and sync never outlive this stack's engine.
     struct OverlapGuard {
@@ -430,20 +331,6 @@ EpochStats DistributedTrainer::run_epoch(std::span<const Index> train_ids,
         candidates = sampler_->candidates(dr, g, step_base + local_step,
                                           batch.targets);
       }
-      // Pick this step's embedding strategy (and, under adaptive wire
-      // format, the gradient wire format) before any collective so
-      // every rank runs the same wire schedule (selection is lockstep).
-      EmbeddingExchange* ex = exchange_.get();
-      const ExchangeOptions* fmt_opts = nullptr;
-      if (selector != nullptr) {
-        const ExchangeKind kind = selector->choose();
-        const WireFormat fmt = selector->current_format();
-        ex = exchange_for(kind, fmt);
-        if (options_.adaptive_wire_format) {
-          fmt_opts = &format_opts_[static_cast<std::size_t>(fmt)];
-          if (overlap) dsync.set_wire_options(*fmt_opts);
-        }
-      }
       PendingIdGather pending;
       if (overlap) {
         dsync.begin_step(comm, engine, model.dense_params());
@@ -453,25 +340,11 @@ EpochStats DistributedTrainer::run_epoch(std::span<const Index> train_ids,
       }
       model.train_step_local(batch, candidates, res);
       std::uint64_t ug = 0;
-      if (!sync_step(comm, model, opt, pool, scaler, res, &ug, ex, dsync,
-                     overlap ? &pending : nullptr, fmt_opts)) {
+      if (!sync_step(comm, model, opt, pool, scaler, res, &ug, dsync,
+                     overlap ? &pending : nullptr)) {
         ++rank_skipped[static_cast<std::size_t>(dr)];
         tm.skipped_steps.add(1);
         ZIPFLM_TRACE_INSTANT("overflow_skip");
-      }
-      if (selector != nullptr) {
-        selector->observe_unique(ug);
-        // Feed the measured compression ratio back into the format
-        // priors — only when this step's format was actually coded, so
-        // a stale ratio from an earlier coded step never mislabels a
-        // raw format.  The ratio is globally consistent (see
-        // Communicator::last_codec_ratio), so priors stay lockstep.
-        if (options_.adaptive_wire_format) {
-          const WireFormat fmt = selector->current_format();
-          if (wire_format_codec(fmt) != WireCodec::None) {
-            selector->observe_format_ratio(fmt, comm.last_codec_ratio());
-          }
-        }
       }
       rank_loss[static_cast<std::size_t>(dr)] += res.loss;
       rank_unique[static_cast<std::size_t>(dr)] += ug;

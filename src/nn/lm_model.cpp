@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "zipflm/support/phase_timers.hpp"
+#include "zipflm/support/phase_scope.hpp"
 #include "zipflm/tensor/ops.hpp"
 
 namespace zipflm {

@@ -6,8 +6,8 @@
 // shared lock and allocate on first registration), cache the returned
 // reference — addresses are stable for the process lifetime — then
 // update it with plain relaxed atomics.  There is no global exclusive
-// lock anywhere on the update path, unlike the PhaseTimers mutex map
-// this registry replaces.
+// lock anywhere on the update path, unlike the mutex-guarded phase
+// timer map this registry replaced.
 //
 // Metric name convention: "<subsystem>/<what>[_<unit>]", e.g.
 // "phase/forward_seconds", "comm/bytes_sent", "serve/queue_depth".

@@ -141,7 +141,9 @@ class Server {
   bool poll(std::uint64_t request_id, Response& out);
 
   /// Block until `request_id` reaches a terminal state.  Requires a
-  /// started server (or an already-resolved request).  If the server
+  /// started or stopping server (or an already-resolved request).  A
+  /// stop() in progress still counts: its drain or fail-fast pass
+  /// resolves the request, and the waiter returns that.  If the server
   /// stops before the request finishes, returns a FailedShutdown
   /// response instead of hanging forever; an evicted or re-waited
   /// response returns Expired instead of blocking.
@@ -149,6 +151,7 @@ class Server {
 
   /// Block until no request is queued or in flight, or the server
   /// stops (a stopped server is idle: stop() resolves every request).
+  /// Like wait(), admitted while a stop() is in progress.
   void wait_idle();
 
   ServeCounters counters() const;

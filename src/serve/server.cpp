@@ -420,10 +420,10 @@ bool Server::poll(std::uint64_t request_id, Response& out) {
 
 Response Server::wait(std::uint64_t request_id) {
   std::unique_lock lock(mutex_);
-  ZIPFLM_CHECK(started_ || done_.count(request_id) > 0 ||
+  ZIPFLM_CHECK(started_ || stopping_ || done_.count(request_id) > 0 ||
                    expired_locked(request_id),
                "wait() needs a started server");
-  // While a drain is in progress (started_ already false, stopping_
+  // While a stop is in progress (started_ already false, stopping_
   // still true) the request can still finish normally, so keep waiting;
   // only a *completed* shutdown wakes a waiter whose request never ran.
   // An evicted response also terminates the wait — otherwise a waiter
@@ -450,8 +450,9 @@ Response Server::wait(std::uint64_t request_id) {
 
 void Server::wait_idle() {
   std::unique_lock lock(mutex_);
-  ZIPFLM_CHECK(started_ || (queue_.empty() && in_flight_.empty()),
-               "wait_idle() needs a started server");
+  ZIPFLM_CHECK(
+      started_ || stopping_ || (queue_.empty() && in_flight_.empty()),
+      "wait_idle() needs a started server");
   // A completed shutdown counts as idle: stop() resolves every request.
   done_cv_.wait(lock, [&] {
     return (queue_.empty() && in_flight_.empty()) ||

@@ -2,13 +2,10 @@
 // error capture, inline degradation), and the end-to-end contract that a
 // training run with overlap on is bitwise identical to one with overlap
 // off — same losses, same weights — at G in {1, 4} and FP32/FP16 wire.
-// Also replays the adaptive strategy selector's decision log through the
-// pure predict() and re-derives every choice.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
-#include <limits>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -16,7 +13,6 @@
 #include "zipflm/comm/async_exchange.hpp"
 #include "zipflm/comm/thread_comm.hpp"
 #include "zipflm/core/grad_sync.hpp"
-#include "zipflm/core/strategy_select.hpp"
 #include "zipflm/core/trainer.hpp"
 #include "zipflm/data/corpus.hpp"
 
@@ -212,7 +208,7 @@ TEST(OverlappedExchange, SyncAndBucketsShareOneFp16WireBuffer) {
   CommWorld world(4);
   world.run([&](Communicator& comm) {
     const auto rank = static_cast<std::size_t>(comm.rank());
-    DenseGradSync sync(ExchangeOptions{WirePrecision::FP16, 64.0f, false});
+    DenseGradSync sync(ExchangeOptions{WirePrecision::FP16, 64.0f});
     sync.set_bucket_bytes(256);
     std::vector<unsigned char> reference;
     for (int round = 0; round < 4; ++round) {
@@ -321,128 +317,6 @@ TEST(CodedTraining, Int8KeepsReplicasInSyncAndConverges) {
     } else {
       EXPECT_NEAR(stats.valid_loss, raw_valid, 0.05 * raw_valid);
     }
-  }
-}
-
-// -- Adaptive strategy selection: the log is replayable --------------
-
-TEST(StrategySelector, LoggedDecisionsReplayThroughPredict) {
-  const Index vocab = 50;
-  const auto train = tiny_corpus(vocab, 2400, 9);
-  const auto valid = tiny_corpus(vocab, 400, 10);
-
-  const int gpus = 4;
-  CommWorld world(gpus);
-  TrainerOptions opt = tiny_options();
-  opt.samples_per_rank = 16;
-  opt.adaptive_exchange = true;
-  DistributedTrainer trainer(world, tiny_word_factory(vocab), opt);
-  trainer.run_epoch(train, valid, 0);
-
-  const ExchangeStrategySelector* sel = trainer.strategy_selector(0);
-  ASSERT_NE(sel, nullptr);
-  ASSERT_FALSE(sel->log().empty());
-
-  // Lockstep: every rank must have recorded the identical decision
-  // sequence, or the collective schedules would have diverged.
-  for (int r = 1; r < gpus; ++r) {
-    const ExchangeStrategySelector* other = trainer.strategy_selector(r);
-    ASSERT_NE(other, nullptr);
-    ASSERT_EQ(other->log().size(), sel->log().size());
-    for (std::size_t i = 0; i < sel->log().size(); ++i) {
-      EXPECT_EQ(other->log()[i].choice, sel->log()[i].choice);
-      EXPECT_EQ(other->log()[i].ug, sel->log()[i].ug);
-    }
-  }
-
-  // Replay: feed each logged U_g back through the pure predict() and
-  // re-derive the choice with the same hysteresis rule.
-  const auto idx = [](ExchangeKind k) { return static_cast<std::size_t>(k); };
-  ExchangeKind current = sel->config().initial;
-  for (const StrategyDecision& d : sel->log()) {
-    const auto costs = ExchangeStrategySelector::predict(
-        sel->config(), sel->cost_model(), sel->topology(), d.ug);
-    for (std::size_t k = 0; k < costs.size(); ++k) {
-      EXPECT_EQ(costs[k], d.predicted_seconds[k])
-          << "predict() must be pure — step " << d.step << " strategy " << k;
-    }
-    ExchangeKind best = ExchangeKind::Unique;
-    for (ExchangeKind k : {ExchangeKind::DenseAllgather,
-                           ExchangeKind::HierarchicalUnique}) {
-      if (costs[idx(k)] < costs[idx(best)]) best = k;
-    }
-    if (best != current &&
-        costs[idx(best)] <
-            costs[idx(current)] * (1.0 - sel->config().hysteresis)) {
-      EXPECT_TRUE(d.switched);
-      current = best;
-    }
-    EXPECT_EQ(d.choice, current)
-        << "logged choice at step " << d.step << " is not replayable";
-  }
-}
-
-TEST(StrategySelector, WireFormatDecisionsReplayThroughPredictFormat) {
-  const Index vocab = 50;
-  const auto train = tiny_corpus(vocab, 2400, 15);
-  const auto valid = tiny_corpus(vocab, 400, 16);
-
-  const int gpus = 4;
-  CommWorld world(gpus);
-  TrainerOptions opt = tiny_options();
-  opt.samples_per_rank = 16;
-  opt.adaptive_exchange = true;
-  opt.adaptive_wire_format = true;
-  DistributedTrainer trainer(world, tiny_word_factory(vocab), opt);
-  for (int e = 0; e < 2; ++e) trainer.run_epoch(train, valid, e);
-
-  const ExchangeStrategySelector* sel = trainer.strategy_selector(0);
-  ASSERT_NE(sel, nullptr);
-  ASSERT_FALSE(sel->log().empty());
-  EXPECT_TRUE(trainer.replicas_in_sync());
-
-  // Lockstep: the format arbitration feeds off comm.last_codec_ratio(),
-  // which is globally consistent, so every rank's log must agree.
-  for (int r = 1; r < gpus; ++r) {
-    const ExchangeStrategySelector* other = trainer.strategy_selector(r);
-    ASSERT_NE(other, nullptr);
-    ASSERT_EQ(other->log().size(), sel->log().size());
-    for (std::size_t i = 0; i < sel->log().size(); ++i) {
-      EXPECT_EQ(other->log()[i].format, sel->log()[i].format);
-      for (std::size_t f = 0; f < kWireFormatCount; ++f) {
-        EXPECT_EQ(other->log()[i].ratio_used[f], sel->log()[i].ratio_used[f]);
-      }
-    }
-  }
-
-  // Replay: each decision logs the ratio vector it priced with, so
-  // predict_format() must reproduce the logged costs, and the
-  // hysteresis rule must reproduce the logged format.
-  const auto fidx = [](WireFormat f) { return static_cast<std::size_t>(f); };
-  WireFormat current = sel->config().initial_format;
-  for (const StrategyDecision& d : sel->log()) {
-    const auto costs = ExchangeStrategySelector::predict_format(
-        sel->config(), sel->cost_model(), sel->topology(), d.ug, d.choice,
-        d.ratio_used);
-    for (std::size_t f = 0; f < kWireFormatCount; ++f) {
-      EXPECT_EQ(costs[f], d.predicted_format_seconds[f])
-          << "predict_format() must be pure — step " << d.step
-          << " format " << f;
-    }
-    WireFormat best = WireFormat::FP32;
-    for (std::size_t f = 0; f < kWireFormatCount; ++f) {
-      if (costs[f] < costs[fidx(best)]) best = static_cast<WireFormat>(f);
-    }
-    if (best != current) {
-      const double incumbent = costs[fidx(current)];
-      if (!(incumbent < std::numeric_limits<double>::infinity()) ||
-          costs[fidx(best)] < incumbent * (1.0 - sel->config().hysteresis)) {
-        EXPECT_TRUE(d.format_switched);
-        current = best;
-      }
-    }
-    EXPECT_EQ(d.format, current)
-        << "logged format at step " << d.step << " is not replayable";
   }
 }
 

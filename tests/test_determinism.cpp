@@ -288,7 +288,7 @@ TEST(GradSyncDeterminism, BucketingNeverChangesReducedBytes) {
         std::vector<Param*> ptrs;
         for (Param& p : params) ptrs.push_back(&p);
 
-        DenseGradSync sync(ExchangeOptions{wire, 64.0f, false});
+        DenseGradSync sync(ExchangeOptions{wire, 64.0f});
         if (modes[m].bucket_bytes == 0) {
           sync.sync(comm, ptrs);
         } else {

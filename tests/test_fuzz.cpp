@@ -210,43 +210,5 @@ TEST(Determinism, TwoIdenticalTrainingRunsAgreeBitwise) {
   EXPECT_EQ(a.second, b.second);
 }
 
-TEST(Determinism, HierarchicalDenseSyncTrainsEquivalently) {
-  const Index vocab = 40;
-  const BigramCorpus corpus(vocab, 6, 9);
-  const auto train = corpus.generate(5000, 0);
-  const auto valid = corpus.generate(600, 1);
-
-  double losses[2];
-  for (const bool hier : {false, true}) {
-    CommWorld::Options o;
-    o.topo = Topology{2, 2};
-    o.topo_set = true;
-    CommWorld world(4, o);
-    TrainerOptions opt;
-    opt.batch = BatchSpec{2, 8};
-    opt.hierarchical_dense_sync = hier;
-    opt.base_lr = 0.1f;
-    opt.clip = 5.0f;
-    opt.charge_static_memory = false;
-    DistributedTrainer trainer(
-        world,
-        [vocab](int) -> std::unique_ptr<LmModel> {
-          CharLmConfig cfg;
-          cfg.vocab = vocab;
-          cfg.embed_dim = 6;
-          cfg.hidden_dim = 8;
-          cfg.depth = 2;
-          cfg.seed = 13;
-          return std::make_unique<CharLm>(cfg);
-        },
-        opt);
-    const auto stats = trainer.run_epoch(train, valid, 0);
-    EXPECT_TRUE(trainer.replicas_in_sync());
-    losses[hier ? 1 : 0] = stats.valid_loss;
-  }
-  // Different reduction trees only: near-identical training outcome.
-  EXPECT_NEAR(losses[0], losses[1], 5e-3);
-}
-
 }  // namespace
 }  // namespace zipflm

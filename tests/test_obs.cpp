@@ -1,6 +1,6 @@
 // zipflm::obs — trace buffers, Chrome trace export, metrics registry,
 // and the equivalence contracts the unified snapshot promises:
-// PhaseTimers (shim), TrafficLedger ("comm/..."), ServeCounters
+// PhaseScope ("phase/..."), TrafficLedger ("comm/..."), ServeCounters
 // ("serve/..."), and Histogram-vs-LatencyHistogram percentiles.
 //
 // The concurrent-emission tests run under the TSAN suite (check.sh
@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cctype>
+#include <chrono>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -24,7 +25,7 @@
 #include "zipflm/obs/trace.hpp"
 #include "zipflm/serve/server.hpp"
 #include "zipflm/stats/latency.hpp"
-#include "zipflm/support/phase_timers.hpp"
+#include "zipflm/support/phase_scope.hpp"
 #include "zipflm/support/thread_pool.hpp"
 
 using namespace zipflm;
@@ -420,18 +421,29 @@ TEST(Metrics, LatencyHistogramMergePreservesStats) {
 
 // ---------------------------------------------------------------------------
 // Legacy-instrument equivalence: the unified snapshot must reproduce
-// PhaseTimers / TrafficLedger / ServeCounters numbers.
+// PhaseScope / TrafficLedger / ServeCounters numbers.
 // ---------------------------------------------------------------------------
 
-TEST(Equivalence, PhaseTimersIsARegistryShim) {
-  PhaseTimers::reset();
-  PhaseTimers::add("testphase", 1.5);
-  PhaseTimers::add("testphase", 0.25);
-  EXPECT_DOUBLE_EQ(PhaseTimers::seconds("testphase"), 1.75);
-  const auto snap = obs::MetricsRegistry::global().snapshot();
-  EXPECT_DOUBLE_EQ(snap.gauges.at("phase/testphase_seconds"), 1.75);
-  PhaseTimers::reset();
-  EXPECT_DOUBLE_EQ(PhaseTimers::seconds("testphase"), 0.0);
+TEST(Equivalence, PhaseScopeAddsIntoRegistryGauge) {
+  auto& reg = obs::MetricsRegistry::global();
+  reg.reset("phase/");
+  obs::Gauge& g = reg.gauge("phase/testphase_seconds");
+  EXPECT_DOUBLE_EQ(g.value(), 0.0);
+  {
+    PhaseScope scope("testphase");
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  const double first = g.value();
+  EXPECT_GE(first, 0.002);
+  {
+    PhaseScope scope("testphase");  // accumulates, never overwrites
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GE(g.value(), first + 0.001);
+  const auto snap = reg.snapshot();
+  EXPECT_DOUBLE_EQ(snap.gauges.at("phase/testphase_seconds"), g.value());
+  reg.reset("phase/");
+  EXPECT_DOUBLE_EQ(g.value(), 0.0);
 }
 
 TEST(Equivalence, CommRegistryMirrorsTrafficLedger) {

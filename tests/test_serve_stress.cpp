@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -37,6 +40,79 @@ Request session_request(std::uint64_t session, std::size_t new_tokens,
   r.seed = seed;
   return r;
 }
+
+/// Serves through `inner`, but holds every step() until release() — the
+/// test, not the host's speed, decides when a request may finish.
+class GatedModel final : public LmModel {
+ public:
+  explicit GatedModel(std::unique_ptr<LmModel> inner)
+      : inner_(std::move(inner)) {}
+
+  /// Block until the scheduler thread is parked inside a step().
+  void wait_entered() {
+    std::unique_lock lock(mutex_);
+    cv_.wait(lock, [&] { return entered_; });
+  }
+  void release() {
+    {
+      std::lock_guard lock(mutex_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+
+  void step(std::span<const Index> tokens, RecurrentState& state,
+            Tensor& logits) override {
+    {
+      std::unique_lock lock(mutex_);
+      entered_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [&] { return open_; });
+    }
+    inner_->step(tokens, state, logits);
+  }
+
+  void train_step_local(const Batch& batch, std::span<const Index> candidates,
+                        LmStepResult& out) override {
+    inner_->train_step_local(batch, candidates, out);
+  }
+  float eval_loss(const Batch& batch) override {
+    return inner_->eval_loss(batch);
+  }
+  Tensor next_token_logits(std::span<const Index> context) override {
+    return inner_->next_token_logits(context);
+  }
+  RecurrentState initial_state(Index batch) const override {
+    return inner_->initial_state(batch);
+  }
+  std::vector<Param*> dense_params() override {
+    return inner_->dense_params();
+  }
+  std::vector<Param*> all_params() override { return inner_->all_params(); }
+  Param& input_embedding_param() override {
+    return inner_->input_embedding_param();
+  }
+  Param* sampled_output_param() override {
+    return inner_->sampled_output_param();
+  }
+  Index vocab() const override { return inner_->vocab(); }
+  Index embed_dim() const override { return inner_->embed_dim(); }
+  double flops_per_token() const override {
+    return inner_->flops_per_token();
+  }
+  std::size_t activation_bytes_per_token() const override {
+    return inner_->activation_bytes_per_token();
+  }
+  void zero_grad() override { inner_->zero_grad(); }
+  Rng& dropout_rng() override { return inner_->dropout_rng(); }
+
+ private:
+  std::unique_ptr<LmModel> inner_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool entered_ = false;
+  bool open_ = false;
+};
 
 bool terminal(const Response& r) {
   return r.status == ResponseStatus::Ok ||
@@ -132,6 +208,40 @@ TEST(ServeStress, DrainStopFinishesInFlightWork) {
   const ServeCounters counters = server.counters();
   EXPECT_EQ(counters.requests_completed, 8u);
   EXPECT_EQ(counters.requests_failed, 0u);
+}
+
+// Regression: a waiter that arrives while a drain-mode stop() is
+// joining the scheduler (started_ already false, the request still in
+// flight) must block for the drained response, not throw.  This race
+// is how ConcurrentSubmitAndStop once counted one request both as
+// parked and as failed.
+TEST(ServeStress, WaitDuringDrainStopReturnsTerminalResponse) {
+  GatedModel model(small_char());
+  ServeOptions options;
+  options.drain_on_stop = true;
+  Server server(model, options);
+  server.start();
+  const Admission a = server.submit(session_request(1, 20, 7));
+  ASSERT_TRUE(a.accepted);
+  model.wait_entered();  // in flight, and held until release()
+
+  // stop() commits to stopping, then blocks joining the held scheduler:
+  // the stop window stays open until release().
+  std::thread stopper([&] { server.stop(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  std::thread idler([&] { EXPECT_NO_THROW(server.wait_idle()); });
+  std::thread releaser([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    model.release();
+  });
+  Response r;
+  EXPECT_NO_THROW(r = server.wait(a.request_id));
+  releaser.join();
+  idler.join();
+  stopper.join();
+  EXPECT_EQ(r.request_id, a.request_id);
+  EXPECT_EQ(r.status, ResponseStatus::Ok);
+  EXPECT_EQ(r.tokens.size(), 3u + 20u);
 }
 
 TEST(ServeStress, FailFastStopResolvesLongRequests) {

@@ -316,12 +316,11 @@ TEST(CodedCollectives, LedgerBooksCodecSlots) {
     std::vector<float> data(256, static_cast<float>(comm.rank()));
     WireCodecScope scope(comm, WireCodec::Int8);
     comm.allreduce_sum(std::span<float>(data));
-    EXPECT_GT(comm.last_codec_ratio(), 0.0);
-    EXPECT_LT(comm.last_codec_ratio(), 1.0);
   });
   const TrafficLedger total = world.total_ledger();
   const CodecTraffic& slot = total.codec_slot(CodecSlot::Int8);
   EXPECT_GT(slot.logical_bytes, 0u);
+  // The compression evidence: INT8 moved fewer bytes than it carried.
   EXPECT_GT(slot.wire_bytes, 0u);
   EXPECT_LT(slot.wire_bytes, slot.logical_bytes);
   EXPECT_GT(slot.ratio(), 1.0);  // logical / wire
@@ -416,6 +415,7 @@ TEST(IndexCodecExchange, LedgerBooksIndexVarintSlot) {
   const TrafficLedger total = world.total_ledger();
   const CodecTraffic& slot = total.codec_slot(CodecSlot::IndexVarint);
   EXPECT_GT(slot.logical_bytes, 0u);
+  // The compression evidence: INT8 moved fewer bytes than it carried.
   EXPECT_GT(slot.wire_bytes, 0u);
   EXPECT_LT(slot.wire_bytes, slot.logical_bytes);
 }
