@@ -3,13 +3,21 @@
 // decides where optimization effort goes: forward, backward, embedding
 // exchange, optimizer.
 //
+// Every rank runs the library's training step, core::RankStep, built
+// from a TrainerOptions — the step DistributedTrainer runs.  The bench
+// adds only the warmup barrier, timing, the loss and weight hashes and
+// the oracle comparisons.
+//
 // Default world size is 1 (the *local* per-step cost — kernels + local
 // reduce + scatter + Adam, the paper's Θ(G·K + U_g·D) constant factor);
 // --gpus N runs N simulated ranks through the full wire path with the
 // overlapped bucketed dense exchange (--overlap off for the synchronous
-// reference).  Throughput is aggregate: tokens_per_rank x ranks.  FP16
-// wire precision is kept on so the compression-scaling casts stay in
-// the measured path.
+// path: the same buckets, run inline after backward).  Throughput is
+// aggregate: tokens_per_rank x ranks.  FP16 wire precision is kept on
+// so the compression-scaling casts stay in the measured path.  The
+// phase columns (forward, backward, exchange, optimizer) are per rank,
+// read from the PhaseScope gauges: a socket child's own, or the thread
+// world's divided by N.
 //
 // --transport selects how the ranks are realized:
 //
@@ -61,19 +69,15 @@
 
 #include "zipflm/comm/process_group.hpp"
 #include "zipflm/comm/thread_comm.hpp"
-#include "zipflm/core/exchange.hpp"
-#include "zipflm/core/grad_sync.hpp"
-#include "zipflm/core/sharded_exchange.hpp"
+#include "zipflm/core/rank_step.hpp"
 #include "zipflm/data/batch.hpp"
 #include "zipflm/net/telemetry.hpp"
 #include "zipflm/nn/lm_model.hpp"
-#include "zipflm/nn/optimizer.hpp"
 #include "zipflm/obs/metrics.hpp"
 #include "zipflm/obs/telemetry.hpp"
 #include "zipflm/obs/trace.hpp"
 #include "zipflm/support/rng.hpp"
 #include "zipflm/support/stopwatch.hpp"
-#include "zipflm/tensor/ops.hpp"
 #include "zipflm/tensor/simd.hpp"
 
 #include "bench_common.hpp"
@@ -139,7 +143,7 @@ std::uint64_t fnv1a(const void* data, std::size_t n, std::uint64_t h) {
 /// shard slices in rank order, which reproduces the replicated V x D
 /// byte layout exactly — so a sharded rank's digest is directly
 /// comparable to a replicated rank's.
-std::uint64_t hash_weights(CharLm& model, Communicator& comm) {
+std::uint64_t hash_weights(LmModel& model, Communicator& comm) {
   std::uint64_t h = kFnvOffset;
   for (const Param* p : model.dense_params()) {
     h = fnv1a(p->value.data().data(), p->value.bytes(), h);
@@ -165,10 +169,12 @@ struct RankReport {
   std::uint64_t loss_hash = 0;     ///< FNV over every step's loss bits
   double loss_sum = 0.0;
   double measured_seconds = 0.0;   ///< post-warmup wall time
+  /// This process's phase gauges over the measured steps: one rank's
+  /// in a socket child, every rank's summed in the thread world.
+  double forward_seconds = 0.0;
+  double backward_seconds = 0.0;
   double exchange_seconds = 0.0;
   double optimizer_seconds = 0.0;
-  double forward_seconds = 0.0;    ///< socket children: own phase gauges
-  double backward_seconds = 0.0;
   std::uint64_t unique_rows = 0;
   std::uint64_t wire_bytes_sent = 0;  ///< socket children only
 };
@@ -176,12 +182,20 @@ struct RankReport {
 /// Everything both worlds share; one parse of argv.
 struct BenchConfig {
   CharLmConfig cfg;  // seed defaults: vocab 98, RHN 1792 x depth 10
-  BatchSpec spec;
-  ExchangeOptions ex_opts{WirePrecision::FP16, 1024.0f};
+  /// The step every rank runs: Adam at its default rate with clip 1,
+  /// the overlapped exchange, FP16 wire unless --wire fp32.
+  TrainerOptions options = [] {
+    TrainerOptions o;
+    o.use_adam = true;
+    o.base_lr = Adam::Config{}.lr;
+    o.clip = 1.0f;
+    o.wire = WirePrecision::FP16;
+    o.overlapped_exchange = true;
+    // The bench measures this host, not the simulated card's budget.
+    o.charge_static_memory = false;
+    return o;
+  }();
   int gpus = 1;
-  bool shard_embedding = false;
-  bool overlap = true;
-  std::size_t bucket_bytes = 4u << 20;
   std::size_t warmup_steps = 1;
   std::size_t measured_steps = 3;
   /// Chrome trace output ("" = tracing off).  Socket mode collects every
@@ -195,127 +209,71 @@ struct BenchConfig {
   /// world when --shard-embedding is armed.
   CharLmConfig rank_cfg(int rank) const {
     CharLmConfig c = cfg;
-    if (shard_embedding) {
+    if (options.shard_embedding) {
       c.shard_rank = rank;
       c.shard_world = gpus;
     }
     return c;
   }
-
-  /// The embedding-gradient strategy for this run: the replicated
-  /// unique allreduce, or the sharded alltoallv push.
-  std::unique_ptr<EmbeddingExchange> make_exchange() const {
-    if (shard_embedding) {
-      return std::make_unique<ShardedEmbeddingExchange>(
-          cfg.vocab, cfg.embed_dim, ex_opts);
-    }
-    return std::make_unique<UniqueExchange>(ex_opts);
-  }
 };
 
-/// The per-rank training loop, identical for every backend: the
-/// communicator is the only thing that differs between a CommWorld
-/// thread and a ProcessGroup process.
-RankReport run_rank(Communicator& comm, CharLm& model, Adam& opt,
-                    EmbeddingExchange& exchange, DenseGradSync& dense_sync,
-                    const std::vector<Index>& ids, const BenchConfig& bc) {
+/// One rank of either world — the communicator is the only thing that
+/// differs between a CommWorld thread and a ProcessGroup process.
+/// Builds the rank's RankStep (identical seeds give every world
+/// identical replicas), runs the warmup and measured steps, and hashes
+/// the losses and final weights.
+RankReport run_rank(Communicator& comm, const BenchConfig& bc,
+                    const std::vector<Index>& ids) {
+  const int r = comm.rank();
+  RankStep rank(bc.options, std::make_unique<CharLm>(bc.rank_cfg(r)), r,
+                comm.world_size());
   RankReport rep;
   rep.loss_hash = kFnvOffset;
-  const int r = comm.rank();
-
-  AsyncCommEngine engine(comm, bc.overlap);
-  model.set_backward_hook(
-      [&dense_sync](const Param& p) { dense_sync.notify_ready(&p); });
-
-  // The sharded push needs the typed strategy for the per-step row pull.
-  auto* sharded = dynamic_cast<ShardedEmbeddingExchange*>(&exchange);
-
-  const auto dense = model.dense_params();
-  BatchIterator it(ids, bc.spec, comm.rank(), comm.world_size());
-  Batch batch;
-  LmStepResult res;
   Stopwatch step_watch;
-  for (std::size_t step = 0; step < bc.total_steps(); ++step) {
-    if (step == bc.warmup_steps) {
-      comm.barrier();
-      if (r == 0) obs::MetricsRegistry::global().reset("phase/");
-      rep.exchange_seconds = rep.optimizer_seconds = 0.0;
-      step_watch.reset();
+  {
+    RankStep::Session session(rank, comm);
+    BatchIterator it(ids, bc.options.batch, r, comm.world_size());
+    Batch batch;
+    for (std::size_t step = 0; step < bc.total_steps(); ++step) {
+      if (step == bc.warmup_steps) {
+        // Every rank finishes warmup before rank 0 zeroes the phase
+        // gauges (shared by the thread world), and none measures before.
+        comm.barrier();
+        if (r == 0) obs::MetricsRegistry::global().reset("phase/");
+        comm.barrier();
+        step_watch.reset();
+      }
+      if (!it.next(batch)) {
+        std::fprintf(stderr, "corpus exhausted early\n");
+        std::abort();
+      }
+      const RankStep::Outcome out = session.step(batch, step);
+      rep.loss_hash = fnv1a(&out.loss, sizeof(out.loss), rep.loss_hash);
+      rep.loss_sum += static_cast<double>(out.loss);
+      rep.unique_rows = out.unique_rows;
     }
-    if (!it.next(batch)) {
-      std::fprintf(stderr, "corpus exhausted early\n");
-      std::abort();
-    }
-    model.zero_grad();
-    if (sharded != nullptr) {
-      // Pull this batch's unique forward rows from their owner shards
-      // while the engine is idle (the trainer's step-start slot).
-      Stopwatch pull_watch;
-      sharded->pull(comm, *model.sharded_input(), batch.inputs);
-      rep.exchange_seconds += pull_watch.seconds();
-    }
-    dense_sync.begin_step(comm, engine, dense);
-    PendingIdGather pending;
-    begin_id_gather(engine, batch.inputs, pending, bc.ex_opts.index_codec);
-    model.train_step_local(batch, {}, res);
-    rep.loss_hash = fnv1a(&res.loss, sizeof(res.loss), rep.loss_hash);
-    rep.loss_sum += static_cast<double>(res.loss);
-
-    Stopwatch phase_watch;
-    dense_sync.finish();
-    std::vector<Index> uids;
-    Tensor urows;
-    exchange.exchange(comm, res.input_ids, res.input_delta, uids, urows,
-                      nullptr, &pending);
-    scale(urows, 1.0f / static_cast<float>(comm.world_size()));
-    rep.exchange_seconds += phase_watch.seconds();
-    rep.unique_rows = uids.size();
-
-    phase_watch.reset();
-    opt.begin_step();
-    opt.step(dense);
-    if (const ShardedEmbedding* se = model.sharded_input(); se != nullptr) {
-      // The push returned OWNED global ids; the shard param is indexed
-      // from its first owned row.
-      for (Index& id : uids) id -= se->row_begin();
-    }
-    opt.step_rows(model.input_embedding_param(), urows, uids);
-    rep.optimizer_seconds += phase_watch.seconds();
   }
-  model.set_backward_hook(nullptr);
   comm.barrier();
   rep.measured_seconds = step_watch.seconds();
-  rep.weights_hash = hash_weights(model, comm);
+  rep.forward_seconds = phase_seconds("forward");
+  rep.backward_seconds = phase_seconds("backward");
+  rep.exchange_seconds = phase_seconds("exchange");
+  rep.optimizer_seconds = phase_seconds("optimizer");
+  rep.weights_hash = hash_weights(rank.model(), comm);
   return rep;
 }
 
-/// N threads of this process over CommWorld (the seed path).  One
-/// replica per simulated GPU, exactly like DistributedTrainer: the wire
-/// path (bucketed dense allreduce + unique embedding exchange) is in
-/// the measured loop, so --gpus 4 reports what overlap actually hides.
+/// N threads of this process over CommWorld (the seed path), one
+/// replica per simulated GPU: the wire path (bucketed dense allreduce +
+/// unique embedding exchange) is in the measured loop, so --gpus 4
+/// reports what overlap actually hides.
 std::vector<RankReport> run_thread_world(const BenchConfig& bc,
                                          const std::vector<Index>& ids,
                                          std::uint64_t* wire_model_out) {
-  std::vector<std::unique_ptr<CharLm>> models;
-  std::vector<std::unique_ptr<Adam>> opts;
-  std::vector<std::unique_ptr<EmbeddingExchange>> exchanges;
-  std::vector<std::unique_ptr<DenseGradSync>> syncs;
-  for (int r = 0; r < bc.gpus; ++r) {
-    models.push_back(std::make_unique<CharLm>(bc.rank_cfg(r)));
-    Adam::Config acfg;
-    acfg.clip = 1.0f;
-    opts.push_back(std::make_unique<Adam>(acfg));
-    exchanges.push_back(bc.make_exchange());
-    syncs.push_back(std::make_unique<DenseGradSync>(bc.ex_opts));
-    syncs.back()->set_bucket_bytes(bc.bucket_bytes);
-  }
-
   CommWorld world(bc.gpus);
   std::vector<RankReport> reports(static_cast<std::size_t>(bc.gpus));
   world.run([&](Communicator& comm) {
-    const auto r = static_cast<std::size_t>(comm.rank());
-    reports[r] = run_rank(comm, *models[r], *opts[r], *exchanges[r], *syncs[r],
-                          ids, bc);
+    reports[static_cast<std::size_t>(comm.rank())] = run_rank(comm, bc, ids);
   });
   if (wire_model_out != nullptr) {
     // The shared-memory backend moves no real bytes; model the wire
@@ -333,6 +291,29 @@ std::vector<RankReport> run_thread_world(const BenchConfig& bc,
     *wire_model_out = wire;
   }
   return reports;
+}
+
+/// Compares two worlds rank by rank: loss streams and final weights
+/// must be bitwise equal.  Prints every diverging rank to stderr.
+bool same_trajectories(const std::vector<RankReport>& want,
+                       const std::vector<RankReport>& got, const char* what) {
+  bool same = true;
+  for (std::size_t r = 0; r < want.size(); ++r) {
+    const RankReport& w = want[r];
+    const RankReport& g = got[r];
+    if (w.weights_hash == g.weights_hash && w.loss_hash == g.loss_hash) {
+      continue;
+    }
+    std::fprintf(stderr,
+                 "rank %zu diverged from %s: weights %016llx vs %016llx, "
+                 "losses %016llx vs %016llx\n",
+                 r, what, static_cast<unsigned long long>(w.weights_hash),
+                 static_cast<unsigned long long>(g.weights_hash),
+                 static_cast<unsigned long long>(w.loss_hash),
+                 static_cast<unsigned long long>(g.loss_hash));
+    same = false;
+  }
+  return same;
 }
 
 bool read_full(int fd, void* out, std::size_t n) {
@@ -364,9 +345,8 @@ bool write_full(int fd, const void* data, std::size_t n) {
   return true;
 }
 
-/// One forked rank of the socket world: rendezvous, build a fresh
-/// replica (identical seed => identical init to the thread world's),
-/// train, and ship the report up the pipe.
+/// One forked rank of the socket world: rendezvous, train, and ship
+/// the report up the pipe.
 int run_socket_child(int rank, const std::string& rendezvous,
                      const BenchConfig& bc, const std::vector<Index>& ids,
                      int pipe_fd) {
@@ -384,18 +364,7 @@ int run_socket_child(int rank, const std::string& rendezvous,
   opt.collective_timeout_seconds = 300.0;
   auto pg = ProcessGroup::connect(rendezvous, rank, bc.gpus, opt);
 
-  CharLm model(bc.rank_cfg(rank));
-  Adam::Config acfg;
-  acfg.clip = 1.0f;
-  Adam adam(acfg);
-  const std::unique_ptr<EmbeddingExchange> exchange = bc.make_exchange();
-  DenseGradSync dense_sync(bc.ex_opts);
-  dense_sync.set_bucket_bytes(bc.bucket_bytes);
-
-  RankReport rep =
-      run_rank(pg->comm(), model, adam, *exchange, dense_sync, ids, bc);
-  rep.forward_seconds = phase_seconds("forward");
-  rep.backward_seconds = phase_seconds("backward");
+  RankReport rep = run_rank(pg->comm(), bc, ids);
   rep.wire_bytes_sent = pg->ledger().wire_bytes_sent;
 
   if (traced) {
@@ -512,15 +481,16 @@ int main(int argc, char** argv) {
     if (arg == "--gpus" && i + 1 < argc) {
       bc.gpus = std::atoi(argv[++i]);
     } else if (arg == "--overlap" && i + 1 < argc) {
-      bc.overlap = std::string(argv[++i]) != "off";
+      bc.options.overlapped_exchange = std::string(argv[++i]) != "off";
     } else if (arg == "--wire" && i + 1 < argc) {
       fp16_wire = std::string(argv[++i]) != "fp32";
     } else if (arg == "--bucket-mb" && i + 1 < argc) {
-      bc.bucket_bytes = static_cast<std::size_t>(std::atoi(argv[++i])) << 20;
+      bc.options.overlap_bucket_bytes =
+          static_cast<std::size_t>(std::atoi(argv[++i])) << 20;
     } else if (arg == "--transport" && i + 1 < argc) {
       transport = argv[++i];
     } else if (arg == "--shard-embedding") {
-      bc.shard_embedding = true;
+      bc.options.shard_embedding = true;
     } else if (arg == "--codec" && i + 1 < argc) {
       codec = argv[++i];
     } else if (arg == "--trace" && i + 1 < argc) {
@@ -537,30 +507,31 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--codec must be 'raw', 'packed' or 'int8'\n");
     return 2;
   }
-  if (bc.shard_embedding && codec == "int8") {
+  if (bc.options.shard_embedding && codec == "int8") {
     std::fprintf(stderr,
                  "--shard-embedding keeps row payloads lossless; int8 would "
                  "diverge from the replicated oracle (use raw or packed)\n");
     return 2;
   }
-  if (bc.shard_embedding && fp16_wire) {
+  if (bc.options.shard_embedding && fp16_wire) {
     // The sharded fold is only bitwise-equal to the replicated ring
     // under lossless payloads.
     std::printf("--shard-embedding forces --wire fp32\n");
     fp16_wire = false;
   }
-  bc.spec.batch_size =
+  BatchSpec& spec = bc.options.batch;
+  spec.batch_size =
       positional.size() > 0 ? static_cast<Index>(std::atoi(positional[0])) : 8;
-  bc.spec.seq_len =
+  spec.seq_len =
       positional.size() > 1 ? static_cast<Index>(std::atoi(positional[1])) : 8;
   bc.measured_steps =
       positional.size() > 2 ? static_cast<std::size_t>(std::atoi(positional[2]))
                             : 3;
-  bc.ex_opts.precision = fp16_wire ? WirePrecision::FP16 : WirePrecision::FP32;
+  bc.options.wire = fp16_wire ? WirePrecision::FP16 : WirePrecision::FP32;
   if (codec != "raw") {
-    bc.ex_opts.codec =
+    bc.options.wire_codec =
         codec == "packed" ? WireCodec::Packed : WireCodec::Int8;
-    bc.ex_opts.index_codec = true;
+    bc.options.index_codec = true;
   }
 
   bench::print_header(
@@ -569,7 +540,7 @@ int main(int argc, char** argv) {
       "full train step: forward + backward + unique exchange + Adam");
 
   const std::size_t corpus =
-      static_cast<std::size_t>(bc.spec.tokens_per_rank()) *
+      static_cast<std::size_t>(spec.tokens_per_rank()) *
           (bc.total_steps() + 1) * static_cast<std::size_t>(bc.gpus) +
       1;
   std::vector<Index> ids(corpus);
@@ -584,9 +555,9 @@ int main(int argc, char** argv) {
   // per-rank loss stream, same assembled table).
   bool shard_equal_to_replicated = true;
   std::vector<RankReport> replicated_reports;
-  if (bc.shard_embedding) {
+  if (bc.options.shard_embedding) {
     BenchConfig ref = bc;
-    ref.shard_embedding = false;
+    ref.options.shard_embedding = false;
     replicated_reports = run_thread_world(ref, ids, nullptr);
   }
 
@@ -609,21 +580,9 @@ int main(int argc, char** argv) {
                 bc.trace_path.c_str());
   }
 
-  if (bc.shard_embedding) {
-    for (int r = 0; r < bc.gpus; ++r) {
-      const auto& rr = replicated_reports[static_cast<std::size_t>(r)];
-      const auto& sr = thread_reports[static_cast<std::size_t>(r)];
-      if (rr.weights_hash != sr.weights_hash || rr.loss_hash != sr.loss_hash) {
-        std::fprintf(stderr,
-                     "rank %d sharded run diverged from replicated oracle: "
-                     "weights %016llx vs %016llx, losses %016llx vs %016llx\n",
-                     r, static_cast<unsigned long long>(rr.weights_hash),
-                     static_cast<unsigned long long>(sr.weights_hash),
-                     static_cast<unsigned long long>(rr.loss_hash),
-                     static_cast<unsigned long long>(sr.loss_hash));
-        shard_equal_to_replicated = false;
-      }
-    }
+  if (bc.options.shard_embedding) {
+    shard_equal_to_replicated = same_trajectories(
+        replicated_reports, thread_reports, "the replicated oracle");
     std::printf(
         "sharded embedding: %d-way row shard, losses/assembled weights %s "
         "the replicated oracle\n",
@@ -640,20 +599,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "socket world failed\n");
       return 1;
     }
-    for (int r = 0; r < bc.gpus; ++r) {
-      const auto& t = thread_reports[static_cast<std::size_t>(r)];
-      const auto& s = reports[static_cast<std::size_t>(r)];
-      if (t.weights_hash != s.weights_hash || t.loss_hash != s.loss_hash) {
-        std::fprintf(stderr,
-                     "rank %d diverged from thread backend: weights "
-                     "%016llx vs %016llx, losses %016llx vs %016llx\n",
-                     r, static_cast<unsigned long long>(t.weights_hash),
-                     static_cast<unsigned long long>(s.weights_hash),
-                     static_cast<unsigned long long>(t.loss_hash),
-                     static_cast<unsigned long long>(s.loss_hash));
-        equal_to_thread = false;
-      }
-    }
+    equal_to_thread =
+        same_trajectories(thread_reports, reports, "the thread backend");
     wire_bytes = 0;
     for (const auto& rep : reports) wire_bytes += rep.wire_bytes_sent;
     std::printf(
@@ -665,37 +612,31 @@ int main(int argc, char** argv) {
     reports = thread_reports;
   }
 
+  // Phase times are per rank: a socket child's gauges hold its own
+  // rank, the thread world's sum all of its ranks.
   const RankReport& r0 = reports[0];
-  double exchange_seconds = 0.0;
-  double optimizer_seconds = 0.0;
-  for (const auto& rep : reports) {
-    exchange_seconds = std::max(exchange_seconds, rep.exchange_seconds);
-    optimizer_seconds = std::max(optimizer_seconds, rep.optimizer_seconds);
-  }
-  // Thread mode reads the process-global phase gauges; socket mode
-  // reads rank 0's own process.
-  const double forward_seconds =
-      transport == "socket" ? r0.forward_seconds : phase_seconds("forward");
-  const double backward_seconds =
-      transport == "socket" ? r0.backward_seconds : phase_seconds("backward");
+  const double per_rank =
+      transport == "socket" ? 1.0 : static_cast<double>(bc.gpus);
+  const double steps_d = static_cast<double>(bc.measured_steps);
+  const auto phase_ms = [&](double seconds) {
+    return 1e3 * seconds / per_rank / steps_d;
+  };
 
   // Aggregate throughput: every simulated GPU processes its own
   // tokens_per_rank each step (data parallelism), so the fleet's
   // tokens/s is the per-rank rate times the world size.
-  const double tokens = static_cast<double>(bc.spec.tokens_per_rank()) *
-                        static_cast<double>(bc.measured_steps) *
-                        static_cast<double>(bc.gpus);
+  const double tokens = static_cast<double>(spec.tokens_per_rank()) *
+                        steps_d * static_cast<double>(bc.gpus);
   const double tok_s = tokens / r0.measured_seconds;
-  const double steps_d = static_cast<double>(bc.measured_steps);
   const double step_ms = 1e3 * r0.measured_seconds / steps_d;
-  const double forward_ms = 1e3 * forward_seconds / steps_d;
-  const double backward_ms = 1e3 * backward_seconds / steps_d;
-  const double exchange_ms = 1e3 * exchange_seconds / steps_d;
-  const double optimizer_ms = 1e3 * optimizer_seconds / steps_d;
+  const double forward_ms = phase_ms(r0.forward_seconds);
+  const double backward_ms = phase_ms(r0.backward_seconds);
+  const double exchange_ms = phase_ms(r0.exchange_seconds);
+  const double optimizer_ms = phase_ms(r0.optimizer_seconds);
 
   std::printf("batch %lld x seq %lld, %zu measured steps (+%zu warmup)\n",
-              static_cast<long long>(bc.spec.batch_size),
-              static_cast<long long>(bc.spec.seq_len), bc.measured_steps,
+              static_cast<long long>(spec.batch_size),
+              static_cast<long long>(spec.seq_len), bc.measured_steps,
               bc.warmup_steps);
   std::printf("throughput: %8s tokens/s (%s ms/step)\n",
               bench::fmt(tok_s).c_str(), bench::fmt(step_ms).c_str());
@@ -715,11 +656,11 @@ int main(int argc, char** argv) {
       "\"tokens_per_s\":%.2f,\"step_ms\":%.2f,"
       "\"forward_ms\":%.2f,\"backward_ms\":%.2f,\"exchange_ms\":%.2f,"
       "\"optimizer_ms\":%.2f,\"host\":%s}\n",
-      static_cast<long long>(bc.spec.batch_size),
-      static_cast<long long>(bc.spec.seq_len), bc.measured_steps, bc.gpus,
-      bc.overlap ? "true" : "false", transport.c_str(),
+      static_cast<long long>(spec.batch_size),
+      static_cast<long long>(spec.seq_len), bc.measured_steps, bc.gpus,
+      bc.options.overlapped_exchange ? "true" : "false", transport.c_str(),
       transport == "socket" ? bc.gpus : 1, equal_to_thread ? "true" : "false",
-      bc.shard_embedding ? "true" : "false",
+      bc.options.shard_embedding ? "true" : "false",
       shard_equal_to_replicated ? "true" : "false",
       codec.c_str(), static_cast<unsigned long long>(wire_bytes),
       tok_s, step_ms, forward_ms, backward_ms, exchange_ms, optimizer_ms,

@@ -124,6 +124,13 @@ tier_net() {
     | tee /tmp/zipflm_net_bench.txt
   grep -q '"equal_to_thread":true' /tmp/zipflm_net_bench.txt || {
     echo "socket transport diverged from thread backend" >&2; exit 1; }
+  # The same gate on the synchronous dense path: every bucket runs on an
+  # inline engine after backward instead of on a comm thread.
+  ./build/bench/bench_train_step 4 8 2 --gpus 4 --transport socket \
+    --overlap off | tee /tmp/zipflm_net_bench_sync.txt
+  grep -q '"equal_to_thread":true' /tmp/zipflm_net_bench_sync.txt || {
+    echo "socket transport diverged from thread backend (--overlap off)" >&2
+    exit 1; }
 }
 
 tier_serve() {

@@ -27,11 +27,6 @@ void DenseGradSync::reduce(Communicator& comm, Param& param) {
   scale(param.grad, 1.0f / static_cast<float>(comm.world_size()));
 }
 
-void DenseGradSync::sync(Communicator& comm, std::span<Param* const> params) {
-  WireCodecScope codec_scope(comm, options_.codec);
-  for (Param* p : params) reduce(comm, *p);
-}
-
 void DenseGradSync::rebuild_plan(std::span<Param* const> params) {
   plan_.clear();
   bucket_of_.clear();
@@ -94,13 +89,13 @@ void DenseGradSync::launch_bucket(std::size_t index) {
 
 void DenseGradSync::run_bucket(Communicator& comm, std::size_t index) {
   WireCodecScope codec_scope(comm, options_.codec);
-  // One collective per parameter, in plan order — the exact loop of
-  // sync().  A concatenated bucket-wide allreduce would shift the ring
-  // chunk boundaries and with them each element's cross-rank summation
-  // order, so overlap on/off would stop being bitwise identical; keeping
-  // the wire schedule per-parameter also keeps the collective count (and
-  // so every FaultSpec::at_collective index) independent of bucketing.
-  // The bucket is purely the launch granularity: one engine job covering
+  // One collective per parameter, in plan order.  A concatenated
+  // bucket-wide allreduce would shift the ring chunk boundaries and with
+  // them each element's cross-rank summation order, so the result would
+  // depend on the bucket size; keeping the wire schedule per-parameter
+  // also keeps the collective count (and so every
+  // FaultSpec::at_collective index) independent of bucketing.  The
+  // bucket is purely the launch granularity: one engine job covering
   // every parameter whose gradient finalized together.
   for (Param* p : plan_[index].params) reduce(comm, *p);
 }

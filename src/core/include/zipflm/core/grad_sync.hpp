@@ -2,27 +2,18 @@
 // of Section II-B), with optional FP16 compression-scaling on the wire
 // (Section III-C).
 //
-// Two modes:
+// One path: begin_step() groups the dense parameters into fixed-byte
+// buckets in reverse-backprop order (last layer first); finish()
+// launches every bucket not yet launched, in plan order, and drains the
+// engine.  Inside a bucket each parameter runs its own allreduce, so
+// ring schedules and collective counts never depend on the bucket size.
+// Synchronous mode arms an inline AsyncCommEngine and no backward hook;
+// overlapped mode arms a comm-thread engine and the layers' backward
+// hooks call notify_ready(), so wire time hides under the remaining
+// backward compute.  The two are bitwise identical.
 //
-//  * sync() — the classic synchronous path: one allreduce per parameter
-//    after backprop has fully finished.  Byte-for-byte the pre-overlap
-//    behavior; the fault-injection suites (which count collectives per
-//    step) and existing training trajectories ride on it unchanged.
-//  * begin_step()/notify_ready()/finish() — the overlapped path: the
-//    dense parameters are grouped into fixed-byte buckets in
-//    reverse-backprop order (last layer first), and a bucket's
-//    collectives are handed to a per-rank AsyncCommEngine the moment
-//    its last parameter's backward completes, so wire time hides under
-//    the remaining backward compute.  Buckets batch the LAUNCH, not
-//    the wire: inside a bucket each parameter still runs its own
-//    allreduce, in plan order — the exact collective sequence sync()
-//    issues — so overlap on/off/legacy are bitwise identical and
-//    fault-injection collective indices are stable.  Bucket boundaries
-//    depend only on the parameter list and bucket_bytes — never on
-//    timing.
-//
-// Both modes reduce through one FP16 wire buffer per instance, sized to
-// the largest parameter: the comm thread runs buckets one at a time and
+// Every bucket reduces through one FP16 wire buffer per instance, sized
+// to the largest parameter: the engine runs buckets one at a time and
 // peers read the buffer only inside a collective.  An instance belongs
 // to one rank; ranks never share one.
 #pragma once
@@ -44,23 +35,10 @@ class DenseGradSync {
  public:
   explicit DenseGradSync(ExchangeOptions options = {}) : options_(options) {}
 
-  /// ALLREDUCE-sum each parameter's gradient and divide by world size
-  /// (data-parallel averaging).  FP16 mode down-casts with
-  /// compression-scaling before the wire and up-casts after; a gradient
-  /// wire codec in the options is armed around the allreduces.
-  void sync(Communicator& comm, std::span<Param* const> params);
-
-  // -- Overlapped bucketed path ---------------------------------------
-
-  /// Jobs run inline at submit when off (the bitwise-reference mode).
-  void set_overlap(bool on) noexcept { overlap_ = on; }
-  bool overlap() const noexcept { return overlap_; }
-
   /// Target bucket payload (bytes of FP32 gradient).  Buckets are
   /// parameter-granular: a parameter larger than the target gets its
   /// own bucket.  Takes effect at the next begin_step.
   void set_bucket_bytes(std::size_t bytes) noexcept { bucket_bytes_ = bytes; }
-  std::size_t bucket_bytes() const noexcept { return bucket_bytes_; }
 
   /// Arm one step: (re)build the bucket plan over reverse(params) —
   /// reverse-backprop order, so bucket 0 holds the parameters whose
@@ -78,7 +56,9 @@ class DenseGradSync {
 
   /// Launch any buckets still incomplete (in plan order), drain the
   /// engine, and disarm.  After this every gradient in `params` is the
-  /// world-averaged value, exactly as sync() would have left it.
+  /// world-averaged value.  FP16 mode down-casts with compression
+  /// scaling before the wire and up-casts after; a gradient wire codec
+  /// in the options is armed around each bucket's allreduces.
   void finish();
 
   /// Buckets in the current (cached) plan — 0 before any begin_step.
@@ -88,8 +68,6 @@ class DenseGradSync {
   /// (e.g. a rank death unwinding the epoch), where the engine is about
   /// to be destroyed anyway.  No-op when not armed.
   void disarm() noexcept { engine_ = nullptr; }
-
-  const ExchangeOptions& options() const noexcept { return options_; }
 
  private:
   struct Bucket {
@@ -102,12 +80,10 @@ class DenseGradSync {
   void rebuild_plan(std::span<Param* const> params);
   void launch_bucket(std::size_t index);
   void run_bucket(Communicator& comm, std::size_t index);
-  /// Allreduce one gradient in place and divide by world size: the
-  /// loop body both modes share.
+  /// Allreduce one gradient in place and divide by world size.
   void reduce(Communicator& comm, Param& param);
 
   ExchangeOptions options_;
-  bool overlap_ = true;
   std::size_t bucket_bytes_ = std::size_t{4} << 20;
 
   std::vector<Bucket> plan_;

@@ -8,6 +8,7 @@
 // truncation, so a short read never yields silently-zeroed state.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <istream>
 #include <ostream>
@@ -43,9 +44,16 @@ inline std::string read_string(std::istream& in,
                                std::uint64_t max_len = 1u << 20) {
   const auto n = read_pod<std::uint64_t>(in);
   ZIPFLM_CHECK(n < max_len, "implausible string length in serialized stream");
-  std::string s(n, '\0');
-  in.read(s.data(), static_cast<std::streamsize>(n));
-  ZIPFLM_CHECK(in.good(), "serialized stream truncated");
+  // Grow with the bytes actually read, a chunk at a time: a lying length
+  // fails as a truncation instead of first allocating what it claims.
+  constexpr std::uint64_t kChunk = std::uint64_t{1} << 20;
+  std::string s;
+  while (s.size() < n) {
+    const std::size_t have = s.size();
+    s.resize(have + std::min<std::uint64_t>(kChunk, n - have));
+    in.read(s.data() + have, static_cast<std::streamsize>(s.size() - have));
+    ZIPFLM_CHECK(in.good(), "serialized stream truncated");
+  }
   return s;
 }
 

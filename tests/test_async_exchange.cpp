@@ -199,10 +199,12 @@ TEST(OverlappedExchange, MatchesSyncBitwiseG4Fp16) {
 }
 
 TEST(OverlappedExchange, SyncAndBucketsShareOneFp16WireBuffer) {
-  // One DenseGradSync serves both paths through a single FP16 wire
-  // buffer, grown to the largest parameter.  Alternate the paths on one
-  // instance, over parameters of mixed sizes: every round must leave the
-  // same reduced gradients, bit for bit.
+  // One DenseGradSync serves both engines through a single FP16 wire
+  // buffer, grown to the largest parameter.  Alternate the synchronous
+  // path (inline engine, no notifications) and the overlapped one
+  // (comm thread, notified buckets) on one instance, over parameters of
+  // mixed sizes: every round must leave the same reduced gradients, bit
+  // for bit.
   const std::vector<std::vector<Index>> shapes = {
       {5, 40}, {3}, {17, 9}, {64}, {2, 2}};
   CommWorld world(4);
@@ -226,7 +228,9 @@ TEST(OverlappedExchange, SyncAndBucketsShareOneFp16WireBuffer) {
       for (Param& p : params) ptrs.push_back(&p);
 
       if (round % 2 == 0) {
-        sync.sync(comm, ptrs);
+        AsyncCommEngine engine(comm, /*overlap=*/false);
+        sync.begin_step(comm, engine, ptrs);
+        sync.finish();
       } else {
         AsyncCommEngine engine(comm, /*overlap=*/true, /*force_thread=*/true);
         sync.begin_step(comm, engine, ptrs);

@@ -317,5 +317,175 @@ TEST(CheckpointResume, RejectsRankCountMismatch) {
   EXPECT_THROW(trainer.restore_state(in), ConfigError);
 }
 
+
+// -- Mutation fuzz of the v2 loader ------------------------------------
+//
+// A deterministic fuzzer over restore_state: start from a valid blob,
+// mutate it (bit flips, truncations, lying count and length fields),
+// re-seal the FNV trailer so every mutation reaches the parser, and
+// require the loader to either accept the bytes or throw a zipflm
+// error — never crash, never allocate what a lying field claims, never
+// leak another exception type.  The seed is a row-sharded Adam
+// trainer's: its restore runs the loader's longest path (the canonical
+// table re-sliced per rank, the optimizer section parsed by hand).
+
+constexpr int kShardWorld = 2;
+
+DistributedTrainer::ModelFactory sharded_char_factory(Index vocab) {
+  return [vocab](int rank) -> std::unique_ptr<LmModel> {
+    CharLmConfig cfg;
+    cfg.vocab = vocab;
+    cfg.embed_dim = 8;
+    cfg.hidden_dim = 10;
+    cfg.depth = 2;
+    cfg.dropout = 0.1f;
+    cfg.seed = 99;
+    cfg.shard_rank = rank;
+    cfg.shard_world = kShardWorld;
+    return std::make_unique<CharLm>(cfg);
+  };
+}
+
+TrainerOptions sharded_adam_options() {
+  TrainerOptions opt = tiny_options();
+  opt.use_adam = true;
+  opt.base_lr = 5e-3f;
+  opt.shard_embedding = true;
+  return opt;
+}
+
+/// A count or length field of the checkpoint body: offset and width.
+struct Field {
+  std::size_t at;
+  std::size_t width;
+};
+
+template <typename T>
+T peek(const std::string& raw, std::size_t at) {
+  T v{};
+  std::memcpy(&v, raw.data() + at, sizeof(T));
+  return v;
+}
+
+/// Every count and length field of a valid v2 body, found by walking
+/// the format: the parameter count, each name length, tensor rank and
+/// dimension, the optimizer blob length and its Adam step count, and
+/// the RNG rank count.
+std::vector<Field> count_fields(const std::string& raw) {
+  std::vector<Field> out;
+  std::size_t pos = 8 + 4 + 8 + 8;  // magic, version, global step, epoch
+  const auto params = peek<std::uint64_t>(raw, pos);
+  out.push_back({pos, 8});
+  pos += 8;
+  for (std::uint64_t i = 0; i < params; ++i) {
+    out.push_back({pos, 8});
+    pos += 8 + peek<std::uint64_t>(raw, pos);  // name
+    const auto rank = peek<std::uint32_t>(raw, pos);
+    out.push_back({pos, 4});
+    pos += 4;
+    std::uint64_t elems = 1;
+    for (std::uint32_t d = 0; d < rank; ++d) {
+      out.push_back({pos, 8});
+      elems *= peek<std::uint64_t>(raw, pos);
+      pos += 8;
+    }
+    pos += elems * sizeof(float);
+  }
+  pos += 1;  // training-state flag
+  out.push_back({pos, 8});
+  const auto blob = peek<std::uint64_t>(raw, pos);
+  pos += 8;
+  out.push_back({pos, 8});  // Adam step count, first in its blob
+  pos += blob;
+  pos += 1;  // loss-scaler flag (sharded trainers carry none)
+  out.push_back({pos, 8});
+  return out;
+}
+
+TEST(CheckpointResume, MutationFuzzNeverCrashesTheLoader) {
+  const Index vocab = 30;
+  CommWorld world(kShardWorld);
+  DistributedTrainer trainer(world, sharded_char_factory(vocab),
+                             sharded_adam_options());
+  trainer.run_epoch(tiny_corpus(vocab, 600, 11), tiny_corpus(vocab, 200, 12),
+                    0);
+  std::ostringstream out(std::ios::binary);
+  trainer.save_state(out);
+  const std::string seed = out.str();
+  const std::size_t body = seed.size() - sizeof(std::uint64_t);
+  const std::vector<Field> fields = count_fields(seed);
+  ASSERT_EQ(fields.back().at + 8 + kShardWorld * 4 * sizeof(std::uint64_t),
+            body)
+      << "the format walk must end exactly at the checksum";
+
+  // A count or length that lies: off by one either way, zero, or huge.
+  const std::uint64_t lies[] = {0,
+                                1,
+                                0x7fffffffull,
+                                0xffffffffull,
+                                std::uint64_t{1} << 32,
+                                (std::uint64_t{1} << 40) - 1,
+                                std::uint64_t{1} << 62,
+                                ~std::uint64_t{0}};
+
+  std::istringstream clean(seed, std::ios::binary);
+  ASSERT_NO_THROW(trainer.restore_state(clean));
+
+  Rng rng(20261017);
+  int rejected = 0;
+  int accepted = 0;
+  constexpr int kMutations = 3000;
+  for (int i = 0; i < kMutations; ++i) {
+    std::string raw(seed.data(), body);
+    bool must_reject = false;
+    switch (i % 3) {
+      case 0: {  // flip 1-4 bits anywhere in the body
+        const auto flips = 1 + rng.uniform_index(4);
+        for (std::uint64_t f = 0; f < flips; ++f) {
+          const auto bit = rng.uniform_index(body * 8);
+          raw[bit / 8] = static_cast<char>(raw[bit / 8] ^ (1 << (bit % 8)));
+        }
+        break;
+      }
+      case 1:  // truncate: some field the parser needs is always missing
+        raw.resize(rng.uniform_index(body));
+        must_reject = true;
+        break;
+      default: {  // one count or length field lies
+        const Field f = fields[rng.uniform_index(fields.size())];
+        std::uint64_t v = lies[rng.uniform_index(std::size(lies))];
+        const std::uint64_t truth = f.width == 8
+                                        ? peek<std::uint64_t>(seed, f.at)
+                                        : peek<std::uint32_t>(seed, f.at);
+        if (rng.uniform_index(3) == 0) {
+          v = rng.uniform_index(2) == 0 ? truth + 1 : truth - 1;
+        }
+        if (f.width == 4) v &= 0xffffffffull;
+        if (v == truth) continue;
+        std::memcpy(raw.data() + f.at, &v, f.width);
+        // Any non-negative step count is a valid Adam state; every other
+        // field desynchronizes the parse or contradicts the model.
+        const bool step_count = f.at == fields[fields.size() - 2].at;
+        must_reject = !step_count || static_cast<std::int64_t>(v) < 0;
+        break;
+      }
+    }
+    raw.resize(raw.size() + sizeof(std::uint64_t));
+    refresh_checksum(raw);
+    std::istringstream in(raw, std::ios::binary);
+    try {
+      trainer.restore_state(in);
+      EXPECT_FALSE(must_reject) << "mutation " << i << " was accepted";
+      ++accepted;
+    } catch (const Error&) {
+      ++rejected;
+    }
+  }
+  // Flips inside weight payloads are valid checkpoints; everything that
+  // breaks the structure must have been refused.
+  EXPECT_GT(rejected, kMutations / 2);
+  EXPECT_GT(accepted, 0);
+}
+
 }  // namespace
 }  // namespace zipflm

@@ -229,9 +229,10 @@ TEST(ElementwiseDeterminism, ActivationBytesStable) {
 //
 // The overlap contract: bucket boundaries and launch timing must never
 // change a single reduced byte.  Run the same per-rank gradients through
-// the legacy sync() and through the bucketed engine path at several
-// bucket sizes (many tiny buckets / one huge bucket), threaded and
-// inline, and require byte-identical averaged gradients.
+// the synchronous path (inline engine, every bucket launched by
+// finish()) and through notified buckets at several bucket sizes (many
+// tiny buckets / one huge bucket), threaded and inline, and require
+// byte-identical averaged gradients.
 
 namespace {
 
@@ -268,13 +269,14 @@ std::vector<unsigned char> grad_bytes(const std::vector<Param>& params) {
 
 TEST(GradSyncDeterminism, BucketingNeverChangesReducedBytes) {
   for (const WirePrecision wire : {WirePrecision::FP32, WirePrecision::FP16}) {
-    // mode: {bucket_bytes, force_thread}; bucket 0 = legacy sync().
+    // mode: {bucket_bytes, force_thread}; bucket 0 = the synchronous
+    // path (default buckets, inline engine, no backward notifications).
     struct Mode {
       std::size_t bucket_bytes;
       bool threaded;
     };
     const std::vector<Mode> modes = {
-        {0, false},       // sync(): the bitwise reference
+        {0, false},       // synchronous: the bitwise reference
         {256, false},     // many tiny buckets, inline engine
         {256, true},      // many tiny buckets, comm thread
         {1 << 20, true},  // everything in one bucket, comm thread
@@ -290,7 +292,10 @@ TEST(GradSyncDeterminism, BucketingNeverChangesReducedBytes) {
 
         DenseGradSync sync(ExchangeOptions{wire, 64.0f});
         if (modes[m].bucket_bytes == 0) {
-          sync.sync(comm, ptrs);
+          // finish() launches every bucket, in plan order, inline.
+          AsyncCommEngine engine(comm, /*overlap=*/false);
+          sync.begin_step(comm, engine, ptrs);
+          sync.finish();
         } else {
           AsyncCommEngine engine(comm, /*overlap=*/true,
                                  modes[m].threaded);
@@ -311,7 +316,7 @@ TEST(GradSyncDeterminism, BucketingNeverChangesReducedBytes) {
         EXPECT_EQ(0, std::memcmp(results[m].data(), results[0].data(),
                                  results[0].size()))
             << "wire=" << (wire == WirePrecision::FP16 ? "fp16" : "fp32")
-            << " mode " << m << " diverged from sync()";
+            << " mode " << m << " diverged from the synchronous path";
       }
     }
   }

@@ -517,5 +517,178 @@ TEST(TransportTrainer, OverlappedExchangeOnSocketMatchesThread) {
                                   {CommBackend::Socket});
 }
 
+
+// -- RankStep over ProcessGroup: the trainer's step, multi-process ------
+
+/// Pass-through LmModel that records every local step's loss, so the
+/// per-rank loss streams of two drivers can be compared step by step.
+class LossRecorder final : public LmModel {
+ public:
+  explicit LossRecorder(std::unique_ptr<LmModel> inner)
+      : inner_(std::move(inner)) {
+    inner_->set_backward_hook(
+        [this](const Param& p) { notify_param_ready(p); });
+  }
+
+  void train_step_local(const Batch& batch, std::span<const Index> candidates,
+                        LmStepResult& out) override {
+    inner_->train_step_local(batch, candidates, out);
+    losses.push_back(out.loss);
+  }
+  float eval_loss(const Batch& batch) override {
+    return inner_->eval_loss(batch);
+  }
+  Tensor next_token_logits(std::span<const Index> context) override {
+    return inner_->next_token_logits(context);
+  }
+  RecurrentState initial_state(Index batch) const override {
+    return inner_->initial_state(batch);
+  }
+  void step(std::span<const Index> tokens, RecurrentState& state,
+            Tensor& logits) override {
+    inner_->step(tokens, state, logits);
+  }
+  std::vector<Param*> dense_params() override {
+    return inner_->dense_params();
+  }
+  ShardedEmbedding* sharded_input() override {
+    return inner_->sharded_input();
+  }
+  std::vector<Param*> all_params() override { return inner_->all_params(); }
+  Param& input_embedding_param() override {
+    return inner_->input_embedding_param();
+  }
+  Param* sampled_output_param() override {
+    return inner_->sampled_output_param();
+  }
+  Index vocab() const override { return inner_->vocab(); }
+  Index embed_dim() const override { return inner_->embed_dim(); }
+  double flops_per_token() const override { return inner_->flops_per_token(); }
+  std::size_t activation_bytes_per_token() const override {
+    return inner_->activation_bytes_per_token();
+  }
+  void zero_grad() override { inner_->zero_grad(); }
+  Rng& dropout_rng() override { return inner_->dropout_rng(); }
+
+  std::vector<float> losses;
+
+ private:
+  std::unique_ptr<LmModel> inner_;
+};
+
+/// One rank's trajectory: every step's loss and the final weights.
+struct Trajectory {
+  std::vector<float> losses;
+  std::vector<unsigned char> weights;
+};
+
+std::vector<unsigned char> param_bytes(LmModel& model) {
+  std::vector<unsigned char> out;
+  for (Param* p : model.all_params()) {
+    const auto data = p->value.data();
+    append_bytes(out, data.data(), data.size() * sizeof(float));
+  }
+  return out;
+}
+
+/// G threads, each its own ProcessGroup rank over UNIX sockets — what G
+/// zipflm_launch children do, minus the fork — drive a RankStep for
+/// two epochs the way DistributedTrainer::run_epoch does: the epoch's
+/// learning rate, a session of steps over the rank's data shard, then
+/// the validation pass.  Every rank's per-step losses and final weights
+/// must be bitwise equal to the trainer's over CommWorld threads.
+void expect_rank_step_over_process_group_matches_trainer(
+    const char* tag, const DistributedTrainer::ModelFactory& factory,
+    const TrainerOptions& opt, Index vocab) {
+  constexpr int kWorld = 4;
+  constexpr int kEpochs = 2;
+  const auto train = tiny_corpus(vocab, 2400, 17);
+  const auto valid = tiny_corpus(vocab, 400, 18);
+
+  std::vector<LossRecorder*> recorders(kWorld);
+  CommWorld world(kWorld);
+  DistributedTrainer trainer(
+      world,
+      [&](int r) {
+        auto m = std::make_unique<LossRecorder>(factory(r));
+        recorders[static_cast<std::size_t>(r)] = m.get();
+        return m;
+      },
+      opt);
+  for (int e = 0; e < kEpochs; ++e) trainer.run_epoch(train, valid, e);
+  const int nodes = world.topology().nodes;
+
+  const std::string addr = test_rendezvous_prefix(tag);
+  auto run_rank = [&](int r) {
+    ProcessGroup::Options popt;
+    popt.collective_timeout_seconds = 60.0;
+    auto pg = ProcessGroup::connect(addr, r, kWorld, popt);
+    Communicator& comm = pg->comm();
+    auto owned = std::make_unique<LossRecorder>(factory(r));
+    LossRecorder* recorder = owned.get();
+    RankStep rank(opt, std::move(owned), r, kWorld);
+    std::uint64_t global_step = 0;
+    Batch batch;
+    for (int e = 0; e < kEpochs; ++e) {
+      rank.optimizer().set_learning_rate(
+          scaled_learning_rate(opt.base_lr, nodes, e, opt.lr_decay));
+      {
+        RankStep::Session session(rank, comm);
+        BatchIterator it(train, opt.batch, r, kWorld);
+        while (it.next(batch)) session.step(batch, global_step++);
+      }
+      BatchIterator vit(valid, opt.batch, r, kWorld);
+      while (vit.next(batch)) rank.eval_loss(comm, batch);
+    }
+    return Trajectory{recorder->losses, param_bytes(rank.model())};
+  };
+  std::vector<std::future<Trajectory>> peers;
+  for (int r = 1; r < kWorld; ++r) {
+    peers.push_back(std::async(std::launch::async, run_rank, r));
+  }
+  std::vector<Trajectory> got;
+  got.push_back(run_rank(0));
+  for (auto& f : peers) got.push_back(f.get());
+
+  for (int r = 0; r < kWorld; ++r) {
+    const auto& g = got[static_cast<std::size_t>(r)];
+    LossRecorder& want = *recorders[static_cast<std::size_t>(r)];
+    ASSERT_FALSE(want.losses.empty());
+    EXPECT_EQ(g.losses, want.losses) << "rank " << r << " loss stream";
+    EXPECT_TRUE(g.weights == param_bytes(want)) << "rank " << r << " weights";
+  }
+}
+
+TEST(RankStepProcessGroup, SampledSoftmaxWordLmMatchesTrainerBitwise) {
+  const Index vocab = 50;
+  TrainerOptions opt = tiny_options();
+  opt.samples_per_rank = 16;
+  opt.seed_policy = SeedPolicy::ZipfFreq;
+  opt.wire = WirePrecision::FP16;
+  expect_rank_step_over_process_group_matches_trainer(
+      "rs_word", tiny_word_factory(vocab), opt, vocab);
+}
+
+TEST(RankStepProcessGroup, DynamicLossScaleCharLmMatchesTrainerBitwise) {
+  const Index vocab = 30;
+  TrainerOptions opt = tiny_options();
+  opt.use_adam = true;
+  opt.base_lr = 5e-3f;
+  opt.dynamic_loss_scale = true;
+  const DistributedTrainer::ModelFactory factory =
+      [vocab](int /*rank*/) -> std::unique_ptr<LmModel> {
+    CharLmConfig cfg;
+    cfg.vocab = vocab;
+    cfg.embed_dim = 8;
+    cfg.hidden_dim = 10;
+    cfg.depth = 2;
+    cfg.dropout = 0.1f;
+    cfg.seed = 99;
+    return std::make_unique<CharLm>(cfg);
+  };
+  expect_rank_step_over_process_group_matches_trainer("rs_char", factory, opt,
+                                                      vocab);
+}
+
 }  // namespace
 }  // namespace zipflm
