@@ -111,7 +111,9 @@ tier_net() {
   ensure_build
   # Everything labeled `net` is RUN_SERIAL: test_net_transport (raw
   # transport + rendezvous + collective/trainer parity across backends),
-  # test_comm_faults (the fault battery re-run over real sockets), and
+  # test_comm_faults (the fault battery re-run over real sockets),
+  # test_owner_update (the owner-side dense update against the
+  # replicated oracle, InProcNet and Socket legs included), and
   # launch_selftest (zipflm_launch forking 4 OS processes).
   ctest --test-dir build --output-on-failure -L net
   # The wire-codec suite (varint/packed/int8 round trips, coded

@@ -23,13 +23,18 @@ CostModel CostModel::v100_nvlink_cluster() {
 
 double CostModel::ring_allreduce_seconds(const Topology& topo,
                                          std::size_t buffer_bytes) const {
+  // Reduce-scatter + allgather: two halves of the same schedule.
+  return 2.0 * ring_reduce_scatter_seconds(topo, buffer_bytes);
+}
+
+double CostModel::ring_reduce_scatter_seconds(const Topology& topo,
+                                              std::size_t buffer_bytes) const {
   const int g = topo.world_size();
   if (g <= 1 || buffer_bytes == 0) return 0.0;
-  // Reduce-scatter + allgather: 2(G-1) steps of ~buffer/G bytes each.
   const std::size_t chunk =
       (buffer_bytes + static_cast<std::size_t>(g) - 1) /
       static_cast<std::size_t>(g);
-  return 2.0 * (g - 1) * ring_step_seconds(topo, chunk);
+  return (g - 1) * ring_step_seconds(topo, chunk);
 }
 
 double CostModel::ring_allgather_seconds(const Topology& topo,

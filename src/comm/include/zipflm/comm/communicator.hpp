@@ -1,7 +1,8 @@
 // Rank-facing collective interface.
 //
 // Mirrors the subset of MPI the paper's training loop needs: barrier,
-// ALLREDUCE (sum / max, FP32 and FP16), ALLGATHER (fixed and variable
+// ALLREDUCE (sum / max, FP32 and FP16) and its two ring halves
+// (reduce-scatter, chunk allgather), ALLGATHER (fixed and variable
 // block size), broadcast.  Every collective updates the calling rank's
 // TrafficLedger with exact wire bytes, scratch size, and simulated
 // transfer time under the world's CostModel.
@@ -11,6 +12,7 @@
 // throws CollectiveMismatchError symmetrically on all ranks.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstring>
 #include <span>
@@ -24,6 +26,13 @@
 #include "zipflm/tensor/half.hpp"
 
 namespace zipflm {
+
+/// Element range [begin, end) of one ring chunk of a buffer.
+struct ChunkRange {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  std::size_t size() const noexcept { return end - begin; }
+};
 
 class Communicator {
  public:
@@ -42,6 +51,37 @@ class Communicator {
   virtual void allreduce_sum(std::span<Half> data) = 0;
   /// In-place elementwise max-allreduce (loss-scaler overflow voting).
   virtual void allreduce_max(std::span<float> data) = 0;
+
+  /// The first half of allreduce_sum: a ring reduce-scatter, in place.
+  /// On return this rank's owned_chunk of `data` holds exactly the bytes
+  /// allreduce_sum would leave there (under Int8, the owner's
+  /// decode(encode(sum)) round trip included); every other element is
+  /// a partial sum and must be treated as scratch.
+  virtual void reduce_scatter_sum(std::span<float> data) = 0;
+  virtual void reduce_scatter_sum(std::span<Half> data) = 0;
+  /// The second half of allreduce_sum over FP32 values: every rank
+  /// contributes its owned_chunk of `data` and receives every other
+  /// rank's.  Never coded — the armed wire codec does not apply.
+  virtual void allgather_chunks(std::span<float> data) = 0;
+
+  /// Element range of ring chunk c when n elements are split into
+  /// `world` chunks as evenly as possible (the first n % world chunks
+  /// get one extra element).
+  static ChunkRange ring_chunk(std::size_t n, int world, int c) {
+    const auto g = static_cast<std::size_t>(world);
+    const auto k = static_cast<std::size_t>(c);
+    const std::size_t q = n / g;
+    const std::size_t rem = n % g;
+    const std::size_t begin = k * q + std::min(rem, k);
+    return {begin, begin + q + (k < rem ? 1 : 0)};
+  }
+
+  /// The ring chunk rank `rank` of a `world`-rank ring completes in a
+  /// reduce-scatter of n elements: chunk (rank + 1) mod world.  The
+  /// ranks' chunks tile [0, n) exactly; world == 1 owns everything.
+  static ChunkRange owned_chunk(std::size_t n, int rank, int world) {
+    return ring_chunk(n, world, (rank + 1) % world);
+  }
 
   /// Gather an equal-sized byte block from every rank; out must hold
   /// world_size() * local.size() bytes, laid out by rank.

@@ -50,6 +50,10 @@ struct CostModel {
   /// against the step-by-step accounting of the executing collectives.
   double ring_allreduce_seconds(const Topology& topo,
                                 std::size_t buffer_bytes) const;
+  /// One ring half over a chunked buffer — a reduce-scatter, or the
+  /// allgather of every rank's chunk: G-1 steps of ~buffer/G bytes.
+  double ring_reduce_scatter_seconds(const Topology& topo,
+                                     std::size_t buffer_bytes) const;
   double ring_allgather_seconds(const Topology& topo,
                                 std::size_t bytes_per_rank) const;
   double broadcast_seconds(const Topology& topo, std::size_t bytes) const;

@@ -45,6 +45,7 @@ struct TrafficLedger {
   std::uint64_t bytes_sent = 0;      ///< payload this rank pushed to a peer
   std::uint64_t bytes_received = 0;  ///< payload this rank pulled from a peer
   std::uint64_t allreduce_calls = 0;
+  std::uint64_t reduce_scatter_calls = 0;
   std::uint64_t allgather_calls = 0;
   std::uint64_t alltoall_calls = 0;
   std::uint64_t broadcast_calls = 0;
@@ -55,6 +56,7 @@ struct TrafficLedger {
   /// Largest single-call payload per collective family — the knob that
   /// decides chunking/fusion thresholds when optimizing collectives.
   std::uint64_t max_allreduce_payload_bytes = 0;
+  std::uint64_t max_reduce_scatter_payload_bytes = 0;
   std::uint64_t max_allgather_payload_bytes = 0;
   std::uint64_t max_alltoall_payload_bytes = 0;
   std::uint64_t max_broadcast_payload_bytes = 0;
@@ -90,6 +92,7 @@ struct TrafficLedger {
     bytes_sent += o.bytes_sent;
     bytes_received += o.bytes_received;
     allreduce_calls += o.allreduce_calls;
+    reduce_scatter_calls += o.reduce_scatter_calls;
     allgather_calls += o.allgather_calls;
     alltoall_calls += o.alltoall_calls;
     broadcast_calls += o.broadcast_calls;
@@ -99,6 +102,10 @@ struct TrafficLedger {
     }
     if (o.max_allreduce_payload_bytes > max_allreduce_payload_bytes) {
       max_allreduce_payload_bytes = o.max_allreduce_payload_bytes;
+    }
+    if (o.max_reduce_scatter_payload_bytes >
+        max_reduce_scatter_payload_bytes) {
+      max_reduce_scatter_payload_bytes = o.max_reduce_scatter_payload_bytes;
     }
     if (o.max_allgather_payload_bytes > max_allgather_payload_bytes) {
       max_allgather_payload_bytes = o.max_allgather_payload_bytes;

@@ -69,6 +69,9 @@ class TransportComm final : public Communicator {
   void allreduce_sum(std::span<float> data) override;
   void allreduce_sum(std::span<Half> data) override;
   void allreduce_max(std::span<float> data) override;
+  void reduce_scatter_sum(std::span<float> data) override;
+  void reduce_scatter_sum(std::span<Half> data) override;
+  void allgather_chunks(std::span<float> data) override;
   void allgather_bytes(std::span<const std::byte> local,
                        std::span<std::byte> out) override;
   void allgatherv_bytes(std::span<const std::byte> local,
@@ -93,6 +96,9 @@ class TransportComm final : public Communicator {
     AllGatherV,
     AllToAllV,
     Broadcast,
+    ReduceScatterF32,
+    ReduceScatterF16,
+    AllGatherChunks,
   };
 
   /// Per-collective frame exchanged between ring neighbours before any
@@ -149,17 +155,19 @@ class TransportComm final : public Communicator {
   /// failure taxonomy (CollectiveTimeoutError / CollectiveMismatchError).
   [[noreturn]] void rethrow_as_collective(const char* coll);
 
+  /// `halves` selects the reduce-scatter, the allgather, or both (an
+  /// allreduce) — comm_internal::kReduceScatter / kAllgather.
   template <typename T, typename Red>
-  void ring_allreduce(std::span<T> data, CollOp op, const char* op_name,
-                      Red reduce, WireCodec codec);
+  void ring(std::span<T> data, CollOp op, const char* op_name, Red reduce,
+            WireCodec codec, unsigned halves);
 
   /// Coded ring body: hops move encoded chunks behind u32 size
-  /// prefixes; phase 2 forwards the owner's encoding verbatim so every
-  /// rank decodes identical bytes.
+  /// prefixes; the allgather forwards the owner's encoding verbatim so
+  /// every rank decodes identical bytes.
   template <typename T, typename Red>
-  void ring_allreduce_coded(std::span<T> data, Red reduce, WireCodec codec,
-                            std::uint64_t& moved_elems,
-                            std::uint64_t& enc_wire);
+  void ring_coded(std::span<T> data, Red reduce, WireCodec codec,
+                  unsigned halves, std::uint64_t& moved_elems,
+                  std::uint64_t& enc_wire);
 
   net::Transport& transport_;
   Topology topo_;

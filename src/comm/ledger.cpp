@@ -22,12 +22,15 @@ std::string TrafficLedger::to_json() const {
   out << "{\"bytes_sent\":" << bytes_sent
       << ",\"bytes_received\":" << bytes_received
       << ",\"allreduce_calls\":" << allreduce_calls
+      << ",\"reduce_scatter_calls\":" << reduce_scatter_calls
       << ",\"allgather_calls\":" << allgather_calls
       << ",\"alltoall_calls\":" << alltoall_calls
       << ",\"broadcast_calls\":" << broadcast_calls
       << ",\"barrier_calls\":" << barrier_calls
       << ",\"max_collective_scratch_bytes\":" << max_collective_scratch_bytes
       << ",\"max_allreduce_payload_bytes\":" << max_allreduce_payload_bytes
+      << ",\"max_reduce_scatter_payload_bytes\":"
+      << max_reduce_scatter_payload_bytes
       << ",\"max_allgather_payload_bytes\":" << max_allgather_payload_bytes
       << ",\"max_alltoall_payload_bytes\":" << max_alltoall_payload_bytes
       << ",\"max_broadcast_payload_bytes\":" << max_broadcast_payload_bytes

@@ -17,8 +17,13 @@
 
 namespace zipflm {
 
-using comm_internal::CommMetrics;
+using comm_internal::book_ring_call;
+using comm_internal::book_ring_traffic;
 using comm_internal::chunk_range;
+using comm_internal::CommMetrics;
+using comm_internal::kAllgather;
+using comm_internal::kBothHalves;
+using comm_internal::kReduceScatter;
 using comm_internal::wrap;
 
 void CommWorld::Group::validate_uniform(Op op, std::size_t bytes, int root,
@@ -107,12 +112,8 @@ class ThreadRankComm final : public Communicator {
     // The reducer sees one contiguous ring chunk at a time, so the FP32
     // sum can run on the vector units; per-element order within a chunk
     // is unchanged (acc = mine + left, ascending j).
-    ring_allreduce<float>(
-        data, CommWorld::Op::AllReduceF32, "allreduce_f32",
-        [](float* mine, const float* left, std::size_t n) {
-          simd::add_inplace(mine, left, n);
-        },
-        codec_);
+    ring<float>(data, CommWorld::Op::AllReduceF32, "allreduce_f32", add_f32,
+                codec_, kBothHalves);
   }
 
   void allreduce_sum(std::span<Half> data) override {
@@ -120,25 +121,36 @@ class ThreadRankComm final : public Communicator {
     // binary16 — the precision behaviour of an FP16-wire allreduce.
     // half_accumulate is the F16C-vectorized (bit-identical) kernel;
     // the scalar loop it replaces dominated the whole dense sync.
-    ring_allreduce<Half>(
-        data, CommWorld::Op::AllReduceF16, "allreduce_f16",
-        [](Half* mine, const Half* left, std::size_t n) {
-          half_accumulate(mine, left, n);
-        },
-        codec_);
+    ring<Half>(data, CommWorld::Op::AllReduceF16, "allreduce_f16", add_f16,
+               codec_, kBothHalves);
   }
 
   void allreduce_max(std::span<float> data) override {
     // Never coded: overflow voting must stay exact regardless of the
     // armed gradient codec.
-    ring_allreduce<float>(
+    ring<float>(
         data, CommWorld::Op::AllReduceMaxF32, "allreduce_max",
         [](float* mine, const float* left, std::size_t n) {
           for (std::size_t j = 0; j < n; ++j) {
             mine[j] = std::max(mine[j], left[j]);
           }
         },
-        WireCodec::None);
+        WireCodec::None, kBothHalves);
+  }
+
+  void reduce_scatter_sum(std::span<float> data) override {
+    ring<float>(data, CommWorld::Op::ReduceScatterF32, "reduce_scatter_f32",
+                add_f32, codec_, kReduceScatter);
+  }
+
+  void reduce_scatter_sum(std::span<Half> data) override {
+    ring<Half>(data, CommWorld::Op::ReduceScatterF16, "reduce_scatter_f16",
+               add_f16, codec_, kReduceScatter);
+  }
+
+  void allgather_chunks(std::span<float> data) override {
+    ring<float>(data, CommWorld::Op::AllGatherChunks, "allgather_chunks",
+                add_f32, WireCodec::None, kAllgather);
   }
 
   void set_wire_codec(WireCodec codec) noexcept override { codec_ = codec; }
@@ -475,33 +487,40 @@ class ThreadRankComm final : public Communicator {
     slot.codec = codec;
   }
 
-  /// Reduce steps hand the reducer a whole contiguous chunk:
-  /// reduce(mine, left, count) must combine left's partial into mine.
+  static void add_f32(float* mine, const float* left, std::size_t n) {
+    simd::add_inplace(mine, left, n);
+  }
+  static void add_f16(Half* mine, const Half* left, std::size_t n) {
+    half_accumulate(mine, left, n);
+  }
+
+  /// The ring collectives: `halves` selects the reduce-scatter, the
+  /// allgather, or both (an allreduce).  Reduce steps hand the reducer
+  /// a whole contiguous chunk: reduce(mine, left, count) must combine
+  /// left's partial into mine.
   ///
   /// With a wire codec armed the transport ring moves ENCODED chunks.
   /// This engine has no wire, so for the lossless codec the arithmetic
   /// is untouched (decode(encode(x)) == x by contract) and only the
   /// accounting changes; for INT8 each receiver reproduces the
   /// transport operand by round-tripping the left neighbour's published
-  /// partial itself (a read-only, deterministic computation), and after
-  /// the closing rendezvous every final chunk is round-tripped in place
-  /// — exactly the bytes a transport rank decodes from the owner's
-  /// encoding.  Both engines therefore stay bitwise identical under
-  /// every codec.
+  /// partial itself (a read-only, deterministic computation), and each
+  /// owner replaces its completed chunk with decode(encode(chunk)) —
+  /// exactly the bytes a transport rank decodes from the owner's
+  /// encoding — before peers copy it.  Both engines therefore stay
+  /// bitwise identical under every codec.
   template <typename T, typename Red>
-  void ring_allreduce(std::span<T> data, CommWorld::Op op, const char* op_name,
-                      Red reduce, WireCodec codec) {
+  void ring(std::span<T> data, CommWorld::Op op, const char* op_name,
+            Red reduce, WireCodec codec, unsigned halves) {
     const int g = world_size();
     const std::size_t payload = data.size() * sizeof(T);
     obs::SpanScope span(op_name, "payload_bytes",
                         static_cast<double>(payload));
-    enter_collective(reinterpret_cast<std::byte*>(data.data()),
-                     data.size() * sizeof(T));
+    enter_collective(reinterpret_cast<std::byte*>(data.data()), payload);
     publish(op, reinterpret_cast<const std::byte*>(data.data()),
-            reinterpret_cast<std::byte*>(data.data()),
-            data.size() * sizeof(T), -1, codec);
+            reinterpret_cast<std::byte*>(data.data()), payload, -1, codec);
     group_.barrier.arrive_and_wait();
-    group_.validate_uniform(op, data.size() * sizeof(T), -1, codec);
+    group_.validate_uniform(op, payload, -1, codec);
     // No second rendezvous before the ring: hop 0 reads only the left
     // neighbour's ORIGINAL chunk (published and stable before the
     // barrier above) and writes a chunk of its own buffer that no
@@ -512,31 +531,46 @@ class ThreadRankComm final : public Communicator {
     // dependencies require.
 
     auto& led = ledger();
-    ++led.allreduce_calls;
-    led.max_allreduce_payload_bytes =
-        std::max<std::uint64_t>(led.max_allreduce_payload_bytes, payload);
-    auto& m = CommMetrics::get();
-    m.allreduce_calls.add(1);
-    m.max_allreduce_payload.set_max(static_cast<double>(payload));
-    if (g > 1 && !data.empty()) {
-      const int left = wrap(rank_ - 1, g);
-      T* left_data = reinterpret_cast<T*>(
-          group_.slots[static_cast<std::size_t>(left)].dst);
-      const std::size_t n = data.size();
-      std::uint64_t moved_elems = 0;
+    const std::size_t n = data.size();
+    book_ring_call(led, halves, payload,
+                   chunk_range(n, g, 0).size() * sizeof(T));
+    if (g <= 1 || data.empty()) return;
 
+    std::uint64_t moved_elems = 0;
+    // Wire-codec model of the transport ring's per-rank volume: each
+    // hop moves one encoded chunk plus a 4-byte size prefix.
+    std::uint64_t wire_model = 0;
+    const auto encoded_size = [codec](std::span<const T> chunk) {
+      if (codec == WireCodec::Int8) return std::uint64_t{4} + chunk.size();
+      thread_local std::vector<std::byte> enc;
+      encode_grad_chunk(codec, chunk, enc);
+      return static_cast<std::uint64_t>(enc.size());
+    };
+    if (halves & kReduceScatter) {
+      const T* left_data = reinterpret_cast<const T*>(
+          group_.slots[static_cast<std::size_t>(wrap(rank_ - 1, g))].dst);
       const bool lossy = codec == WireCodec::Int8;
       thread_local std::vector<std::byte> enc;
       thread_local std::vector<T> dec;
 
-      // Phase 1: reduce-scatter.  Step s: accumulate the left
-      // neighbour's partial of chunk (rank - s - 1) into ours.  Under
-      // INT8 the operand is the decoded image of the encoded partial —
-      // the identical bytes the transport receiver decodes, computed
-      // here from the same published chunk.
+      // Step s: accumulate the left neighbour's partial of chunk
+      // (rank - s - 1) into ours.  Under INT8 the operand is the decoded
+      // image of the encoded partial — the identical bytes the transport
+      // receiver decodes, computed here from the same published chunk.
       for (int s = 0; s + 1 < g; ++s) {
-        const int c = wrap(rank_ - s - 1, g);
-        const auto r = chunk_range(n, g, c);
+        const auto sent = chunk_range(n, g, wrap(rank_ - s, g));
+        // We simultaneously "sent" our partial of chunk (rank - s) to
+        // the right: it was completed by the previous step, and the
+        // right neighbour only reads it.
+        moved_elems += sent.size();
+        if (codec != WireCodec::None) {
+          wire_model += 4;
+          if (sent.size() != 0) {
+            wire_model += encoded_size(
+                std::span<const T>(data.data() + sent.begin, sent.size()));
+          }
+        }
+        const auto r = chunk_range(n, g, wrap(rank_ - s - 1, g));
         if (r.size() != 0) {
           if (lossy) {
             encode_grad_chunk(
@@ -549,88 +583,66 @@ class ThreadRankComm final : public Communicator {
             reduce(data.data() + r.begin, left_data + r.begin, r.size());
           }
         }
-        // We simultaneously "sent" chunk (rank - s) to the right.
-        moved_elems += chunk_range(n, g, wrap(rank_ - s, g)).size();
+        if (s + 2 == g && codec != WireCodec::None) {
+          // Our chunk is complete and no peer has read it (the right
+          // neighbour reads chunk wrap(rank - s) at step s, never ours),
+          // so the owner's encoding can replace it before the barrier
+          // below publishes it to the allgather.
+          std::uint64_t owned_wire = 0;
+          if (r.size() != 0) {
+            const std::span<T> owned(data.data() + r.begin, r.size());
+            if (lossy) {
+              encode_grad_chunk(codec, std::span<const T>(owned), enc);
+              decode_grad_chunk(codec, std::span<const std::byte>(enc), owned);
+              owned_wire = enc.size();
+            } else if (halves & kAllgather) {
+              owned_wire = encoded_size(owned);
+            }
+          }
+          group_.slots[static_cast<std::size_t>(rank_)].owned_wire_bytes =
+              owned_wire;
+        }
         group_.barrier.arrive_and_wait();
       }
-      // Phase 2: allgather.  After the final reduce-scatter barrier
-      // every chunk is complete: chunk c lives on rank wrap(c - 1), and
-      // during this phase rank r only writes chunks of its own buffer
-      // that no peer reads (peers read r's buffer solely at chunk
-      // wrap(r + 1) — r's completed chunk, untouched here).  So each
-      // rank copies straight from every chunk's owner — the same bytes
-      // the hop-by-hop ring forwarding delivered, with one closing
+    }
+    if (halves & kAllgather) {
+      // Chunk c lives complete on rank wrap(c - 1): after the
+      // reduce-scatter's last rendezvous, or at the publish rendezvous
+      // of a standalone allgather.  Rank r only writes chunks of its own
+      // buffer that no peer reads (peers read r's buffer solely at chunk
+      // wrap(r + 1), its owned chunk, untouched here), so each rank
+      // copies straight from every chunk's owner — the same bytes the
+      // hop-by-hop ring forwarding delivers, with one closing
       // rendezvous instead of g - 1.
       for (int s = 0; s + 1 < g; ++s) {
         const int c = wrap(rank_ - s, g);
         const auto r = chunk_range(n, g, c);
+        const auto& owner = group_.slots[static_cast<std::size_t>(wrap(c - 1, g))];
         if (r.size() != 0) {
-          const T* owner = reinterpret_cast<T*>(
-              group_.slots[static_cast<std::size_t>(wrap(c - 1, g))].dst);
-          std::memcpy(data.data() + r.begin, owner + r.begin,
+          std::memcpy(data.data() + r.begin,
+                      reinterpret_cast<const T*>(owner.dst) + r.begin,
                       r.size() * sizeof(T));
         }
-        moved_elems += chunk_range(n, g, wrap(rank_ + 1 - s, g)).size();
-      }
-
-      // Wire-codec bookkeeping.  Every final chunk is now staged
-      // locally and bitwise identical on every rank, so encoding here
-      // gives every rank the same sizes (for the wire model) and, for
-      // INT8, the same owner encoding to round-trip from.  Reads only
-      // local data, so it can overlap the other ranks' copy loops.
-      std::uint64_t wire_model = 0;
-      thread_local std::vector<std::vector<std::byte>> final_enc;
-      if (codec != WireCodec::None) {
-        final_enc.resize(static_cast<std::size_t>(g));
-        std::vector<std::uint64_t> sizes(static_cast<std::size_t>(g), 0);
-        for (int c = 0; c < g; ++c) {
-          const auto r = chunk_range(n, g, c);
-          auto& e = final_enc[static_cast<std::size_t>(c)];
-          e.clear();
-          if (r.size() == 0) continue;
-          encode_grad_chunk(
-              codec, std::span<const T>(data.data() + r.begin, r.size()), e);
-          sizes[static_cast<std::size_t>(c)] = e.size();
-        }
-        // Model the transport ring's per-rank wire volume: each hop of
-        // either phase moves one encoded chunk plus a 4-byte size
-        // prefix (phase-1 partials are priced at the final-chunk size;
-        // exact for INT8, an estimate for the packed codec).
-        for (int s = 0; s + 1 < g; ++s) {
-          wire_model += sizes[static_cast<std::size_t>(wrap(rank_ - s, g))] + 4;
+        // The forwarded chunk of hop s is wrap(rank + 1 - s).
+        const int fwd = wrap(rank_ + 1 - s, g);
+        moved_elems += chunk_range(n, g, fwd).size();
+        if (codec != WireCodec::None) {
           wire_model +=
-              sizes[static_cast<std::size_t>(wrap(rank_ + 1 - s, g))] + 4;
+              4 + group_.slots[static_cast<std::size_t>(wrap(fwd - 1, g))]
+                      .owned_wire_bytes;
         }
       }
       group_.barrier.arrive_and_wait();
-      if (lossy) {
-        // Allgather leg of the coded ring: every rank's result for
-        // chunk c is decode(encode(final_c)) — owner included.
-        for (int c = 0; c < g; ++c) {
-          const auto r = chunk_range(n, g, c);
-          if (r.size() == 0) continue;
-          decode_grad_chunk(
-              codec,
-              std::span<const std::byte>(final_enc[static_cast<std::size_t>(c)]),
-              std::span<T>(data.data() + r.begin, r.size()));
-        }
-      }
+    }
 
-      led.bytes_sent += moved_elems * sizeof(T);
-      led.bytes_received += moved_elems * sizeof(T);
-      const double sim =
-          w_.cost_.ring_allreduce_seconds(group_.topo, payload);
-      led.simulated_comm_seconds += sim;
-      span.set_arg2("sim_seconds", sim);
-      m.bytes_sent.add(moved_elems * sizeof(T));
-      m.bytes_received.add(moved_elems * sizeof(T));
-      m.simulated_seconds.add(sim);
-      if (codec != WireCodec::None) {
-        record_codec_traffic(led,
-                             codec == WireCodec::Packed ? CodecSlot::Packed
-                                                        : CodecSlot::Int8,
-                             moved_elems * sizeof(T), wire_model);
-      }
+    span.set_arg2("sim_seconds",
+                  book_ring_traffic(led, w_.cost_, group_.topo, halves,
+                                    payload, moved_elems * sizeof(T)));
+    if (codec != WireCodec::None) {
+      record_codec_traffic(led,
+                           codec == WireCodec::Packed ? CodecSlot::Packed
+                                                      : CodecSlot::Int8,
+                           moved_elems * sizeof(T), wire_model);
     }
   }
 

@@ -12,8 +12,13 @@
 
 namespace zipflm {
 
-using comm_internal::CommMetrics;
+using comm_internal::book_ring_call;
+using comm_internal::book_ring_traffic;
 using comm_internal::chunk_range;
+using comm_internal::CommMetrics;
+using comm_internal::kAllgather;
+using comm_internal::kBothHalves;
+using comm_internal::kReduceScatter;
 using comm_internal::wrap;
 
 namespace {
@@ -185,10 +190,9 @@ void TransportComm::barrier() {
 }
 
 template <typename T, typename Red>
-void TransportComm::ring_allreduce_coded(std::span<T> data, Red reduce,
-                                         WireCodec codec,
-                                         std::uint64_t& moved_elems,
-                                         std::uint64_t& enc_wire) {
+void TransportComm::ring_coded(std::span<T> data, Red reduce, WireCodec codec,
+                               unsigned halves, std::uint64_t& moved_elems,
+                               std::uint64_t& enc_wire) {
   const int g = world_size();
   const int right = wrap(rank() + 1, g);
   const int left = wrap(rank() - 1, g);
@@ -216,11 +220,11 @@ void TransportComm::ring_allreduce_coded(std::span<T> data, Red reduce,
     enc_wire += sizeof(std::uint32_t) + out_buf.size();
   };
 
-  // Phase 1: reduce-scatter over encoded partials.  The operand the
-  // reducer sees is decode(encode(left partial)) — for a lossless codec
-  // that is the partial itself (identical arithmetic to the raw path);
-  // for INT8 the shared-memory engine performs the same round-trip on
-  // the published values, keeping the addition trees bitwise equal.
+  // Reduce-scatter over encoded partials.  The operand the reducer sees
+  // is decode(encode(left partial)) — for a lossless codec that is the
+  // partial itself (identical arithmetic to the raw path); for INT8 the
+  // shared-memory engine performs the same round-trip on the published
+  // values, keeping the addition trees bitwise equal.
   for (int s = 0; s + 1 < g; ++s) {
     const auto sr = chunk_range(n, g, wrap(rank() - s, g));
     const auto rr = chunk_range(n, g, wrap(rank() - s - 1, g));
@@ -240,31 +244,28 @@ void TransportComm::ring_allreduce_coded(std::span<T> data, Red reduce,
     moved_elems += sr.size();
   }
 
-  // Phase 2: allgather of encoded final chunks.  The owner encodes its
-  // completed chunk exactly once; every later hop forwards those bytes
-  // verbatim, so all ranks decode the identical encoding.  For a lossy
-  // codec the owner also replaces its own copy with the decode of that
-  // encoding — everyone, owner included, ends at decode(encode(final)).
+  // The owner encodes its completed chunk exactly once.  For a lossy
+  // codec it also replaces its own copy with the decode of that
+  // encoding, so the owner — and, after the allgather, every rank —
+  // ends at decode(encode(final)).
   const bool lossy = codec == WireCodec::Int8;
+  const auto own = chunk_range(n, g, wrap(rank() + 1, g));
+  enc_send.clear();
+  if (own.size() != 0 && (lossy || (halves & kAllgather) != 0)) {
+    const std::span<T> owned(data.data() + own.begin, own.size());
+    encode_grad_chunk(codec, std::span<const T>(owned), enc_send);
+    if (lossy) {
+      decode_grad_chunk(codec, std::span<const std::byte>(enc_send), owned);
+    }
+  }
+  if ((halves & kAllgather) == 0) return;
+
+  // Allgather of encoded final chunks: every later hop forwards the
+  // owner's bytes verbatim, so all ranks decode the identical encoding.
   for (int s = 0; s + 1 < g; ++s) {
     const auto sr = chunk_range(n, g, wrap(rank() + 1 - s, g));
     const auto rr = chunk_range(n, g, wrap(rank() - s, g));
-    if (s == 0) {
-      if (sr.size() != 0) {
-        encode_grad_chunk(
-            codec, std::span<const T>(data.data() + sr.begin, sr.size()),
-            enc_send);
-        if (lossy) {
-          decode_grad_chunk(codec, std::span<const std::byte>(enc_send),
-                            std::span<T>(data.data() + sr.begin, sr.size()));
-        }
-      } else {
-        enc_send.clear();
-      }
-      hop(enc_send);
-    } else {
-      hop(enc_fwd);
-    }
+    hop(s == 0 ? enc_send : enc_fwd);
     if (rr.size() != 0) {
       decode_grad_chunk(codec, std::span<const std::byte>(enc_recv),
                         std::span<T>(data.data() + rr.begin, rr.size()));
@@ -275,9 +276,8 @@ void TransportComm::ring_allreduce_coded(std::span<T> data, Red reduce,
 }
 
 template <typename T, typename Red>
-void TransportComm::ring_allreduce(std::span<T> data, CollOp op,
-                                   const char* op_name, Red reduce,
-                                   WireCodec codec) {
+void TransportComm::ring(std::span<T> data, CollOp op, const char* op_name,
+                         Red reduce, WireCodec codec, unsigned halves) {
   const int g = world_size();
   const std::size_t payload = data.size() * sizeof(T);
   obs::SpanScope span(op_name, "payload_bytes", static_cast<double>(payload));
@@ -287,40 +287,35 @@ void TransportComm::ring_allreduce(std::span<T> data, CollOp op,
     neighbor_handshake(op, payload, -1, codec);
 
     auto& led = ledger();
-    ++led.allreduce_calls;
-    led.max_allreduce_payload_bytes =
-        std::max<std::uint64_t>(led.max_allreduce_payload_bytes, payload);
-    auto& m = CommMetrics::get();
-    m.allreduce_calls.add(1);
-    m.max_allreduce_payload.set_max(static_cast<double>(payload));
-    if (g > 1 && !data.empty()) {
-      const int right = wrap(rank() + 1, g);
-      const int left = wrap(rank() - 1, g);
-      const std::size_t n = data.size();
-      std::uint64_t moved_elems = 0;
+    const std::size_t n = data.size();
+    book_ring_call(led, halves, payload,
+                   chunk_range(n, g, 0).size() * sizeof(T));
+    if (g <= 1 || data.empty()) return;
 
-      if (codec != WireCodec::None) {
-        std::uint64_t enc_wire = 0;
-        ring_allreduce_coded<T, Red>(data, reduce, codec, moved_elems,
-                                     enc_wire);
-        record_codec_traffic(led,
-                             codec == WireCodec::Packed ? CodecSlot::Packed
-                                                        : CodecSlot::Int8,
-                             moved_elems * sizeof(T), enc_wire);
-        // The span carries the measured encoded volume so a merged
-        // trace can show compression ratios without the ledger.
-        span.set_arg3("wire_bytes", static_cast<double>(enc_wire));
-        span.set_arg4("codec", static_cast<double>(static_cast<int>(codec)));
-      } else {
+    const int right = wrap(rank() + 1, g);
+    const int left = wrap(rank() - 1, g);
+    std::uint64_t moved_elems = 0;
+    if (codec != WireCodec::None) {
+      std::uint64_t enc_wire = 0;
+      ring_coded<T, Red>(data, reduce, codec, halves, moved_elems, enc_wire);
+      record_codec_traffic(led,
+                           codec == WireCodec::Packed ? CodecSlot::Packed
+                                                      : CodecSlot::Int8,
+                           moved_elems * sizeof(T), enc_wire);
+      // The span carries the measured encoded volume so a merged trace
+      // can show compression ratios without the ledger.
+      span.set_arg3("wire_bytes", static_cast<double>(enc_wire));
+      span.set_arg4("codec", static_cast<double>(static_cast<int>(codec)));
+    } else {
+      if ((halves & kReduceScatter) != 0) {
         // Chunk 0 is always the largest (the first n%g chunks carry the
         // remainder), so one scratch buffer serves every receive.
         std::vector<T> scratch(chunk_range(n, g, 0).size());
-
-        // Phase 1: reduce-scatter.  Step s: send our partial of chunk
-        // (rank - s) right, receive the left neighbour's partial of chunk
-        // (rank - s - 1), and accumulate it as `mine += left` — the same
-        // operand order, on the same contiguous ranges, as the
-        // shared-memory engine, so the FP addition tree is identical.
+        // Step s: send our partial of chunk (rank - s) right, receive the
+        // left neighbour's partial of chunk (rank - s - 1), and
+        // accumulate it as `mine += left` — the same operand order, on
+        // the same contiguous ranges, as the shared-memory engine, so
+        // the FP addition tree is identical.
         for (int s = 0; s + 1 < g; ++s) {
           const auto sr = chunk_range(n, g, wrap(rank() - s, g));
           const auto rr = chunk_range(n, g, wrap(rank() - s - 1, g));
@@ -336,10 +331,12 @@ void TransportComm::ring_allreduce(std::span<T> data, CollOp op,
           }
           moved_elems += sr.size();
         }
-        // Phase 2: allgather.  Step s: forward the completed chunk
-        // (rank + 1 - s) right, receive completed chunk (rank - s) from
-        // the left straight into place.  Waiting both completions inside
-        // the step keeps the send source immutable until it is drained.
+      }
+      if ((halves & kAllgather) != 0) {
+        // Step s: forward the completed chunk (rank + 1 - s) right,
+        // receive completed chunk (rank - s) from the left straight into
+        // place.  Waiting both completions inside the step keeps the
+        // send source immutable until it is drained.
         for (int s = 0; s + 1 < g; ++s) {
           const auto sr = chunk_range(n, g, wrap(rank() + 1 - s, g));
           const auto rr = chunk_range(n, g, wrap(rank() - s, g));
@@ -352,50 +349,63 @@ void TransportComm::ring_allreduce(std::span<T> data, CollOp op,
           moved_elems += sr.size();
         }
       }
-
-      // Logical payload accounting stays in raw-element terms for every
-      // codec (the closed-form ledger identities hold codec-on or off);
-      // the measured encoded volume lands in wire_bytes_* via WireScope
-      // and in the per-codec ledger slots above.
-      led.bytes_sent += moved_elems * sizeof(T);
-      led.bytes_received += moved_elems * sizeof(T);
-      const double sim = hooks_.cost->ring_allreduce_seconds(topo_, payload);
-      led.simulated_comm_seconds += sim;
-      span.set_arg2("sim_seconds", sim);
-      m.bytes_sent.add(moved_elems * sizeof(T));
-      m.bytes_received.add(moved_elems * sizeof(T));
-      m.simulated_seconds.add(sim);
     }
+
+    // Logical payload accounting stays in raw-element terms for every
+    // codec (the closed-form ledger identities hold codec-on or off);
+    // the measured encoded volume lands in wire_bytes_* via WireScope
+    // and in the per-codec ledger slots above.
+    span.set_arg2("sim_seconds",
+                  book_ring_traffic(led, *hooks_.cost, topo_, halves, payload,
+                                    moved_elems * sizeof(T)));
   } catch (const net::TransportError&) {
     rethrow_as_collective(op_name);
   }
 }
 
+namespace {
+void add_f32(float* mine, const float* left, std::size_t n) {
+  simd::add_inplace(mine, left, n);
+}
+void add_f16(Half* mine, const Half* left, std::size_t n) {
+  half_accumulate(mine, left, n);
+}
+}  // namespace
+
 void TransportComm::allreduce_sum(std::span<float> data) {
-  ring_allreduce<float>(data, CollOp::AllReduceF32, "allreduce_f32",
-                        [](float* mine, const float* left, std::size_t n) {
-                          simd::add_inplace(mine, left, n);
-                        },
-                        codec_);
+  ring<float>(data, CollOp::AllReduceF32, "allreduce_f32", add_f32, codec_,
+              kBothHalves);
 }
 
 void TransportComm::allreduce_sum(std::span<Half> data) {
-  ring_allreduce<Half>(data, CollOp::AllReduceF16, "allreduce_f16",
-                       [](Half* mine, const Half* left, std::size_t n) {
-                         half_accumulate(mine, left, n);
-                       },
-                       codec_);
+  ring<Half>(data, CollOp::AllReduceF16, "allreduce_f16", add_f16, codec_,
+             kBothHalves);
 }
 
 void TransportComm::allreduce_max(std::span<float> data) {
   // Never coded: overflow voting must stay exact.
-  ring_allreduce<float>(data, CollOp::AllReduceMaxF32, "allreduce_max",
-                        [](float* mine, const float* left, std::size_t n) {
-                          for (std::size_t j = 0; j < n; ++j) {
-                            mine[j] = std::max(mine[j], left[j]);
-                          }
-                        },
-                        WireCodec::None);
+  ring<float>(data, CollOp::AllReduceMaxF32, "allreduce_max",
+              [](float* mine, const float* left, std::size_t n) {
+                for (std::size_t j = 0; j < n; ++j) {
+                  mine[j] = std::max(mine[j], left[j]);
+                }
+              },
+              WireCodec::None, kBothHalves);
+}
+
+void TransportComm::reduce_scatter_sum(std::span<float> data) {
+  ring<float>(data, CollOp::ReduceScatterF32, "reduce_scatter_f32", add_f32,
+              codec_, kReduceScatter);
+}
+
+void TransportComm::reduce_scatter_sum(std::span<Half> data) {
+  ring<Half>(data, CollOp::ReduceScatterF16, "reduce_scatter_f16", add_f16,
+             codec_, kReduceScatter);
+}
+
+void TransportComm::allgather_chunks(std::span<float> data) {
+  ring<float>(data, CollOp::AllGatherChunks, "allgather_chunks", add_f32,
+              WireCodec::None, kAllgather);
 }
 
 void TransportComm::allgather_bytes(std::span<const std::byte> local,

@@ -10,21 +10,33 @@
 namespace zipflm {
 
 void DenseGradSync::reduce(Communicator& comm, Param& param) {
-  if (comm.world_size() > 1) {
-    const std::span<float> g = param.grad.data();
-    if (options_.precision == WirePrecision::FP32) {
-      comm.allreduce_sum(g);
-    } else {
-      // Reduce straight out of / into the gradient through the one wire
-      // buffer.  Its old contents are dead, so growing it never copies.
-      if (wire_.size() < g.size()) wire_ = std::vector<Half>(g.size());
-      const std::span<Half> wire(wire_.data(), g.size());
-      compress_fp16(g, options_.compression_scale, wire);
-      comm.allreduce_sum(wire);
-      decompress_fp16(wire, options_.compression_scale, g);
-    }
+  const int g = comm.world_size();
+  if (g == 1) return;
+  const std::span<float> grad = param.grad.data();
+  const ChunkRange own =
+      Communicator::owned_chunk(grad.size(), comm.rank(), g);
+  const std::span<float> owned = grad.subspan(own.begin, own.size());
+  if (options_.precision == WirePrecision::FP32) {
+    comm.reduce_scatter_sum(grad);
+  } else {
+    // Reduce straight out of the gradient through the one wire buffer
+    // and up-cast only the owned chunk.  The buffer's old contents are
+    // dead, so growing it never copies.
+    if (wire_.size() < grad.size()) wire_ = std::vector<Half>(grad.size());
+    const std::span<Half> wire(wire_.data(), grad.size());
+    compress_fp16(grad, options_.compression_scale, wire);
+    comm.reduce_scatter_sum(wire);
+    decompress_fp16(wire.subspan(own.begin, own.size()),
+                    options_.compression_scale, owned);
   }
-  scale(param.grad, 1.0f / static_cast<float>(comm.world_size()));
+  scale(owned, 1.0f / static_cast<float>(g));
+}
+
+void DenseGradSync::gather_values(Communicator& comm) {
+  if (comm.world_size() == 1) return;
+  for (const ParamRange& r : owned_) {
+    comm.allgather_chunks(r.param->value.data());
+  }
 }
 
 void DenseGradSync::rebuild_plan(std::span<Param* const> params) {
@@ -60,12 +72,17 @@ void DenseGradSync::begin_step(Communicator& comm, AsyncCommEngine& engine,
       plan_bucket_bytes_ != bucket_bytes_) {
     rebuild_plan(params);
   }
+  owned_.clear();
   for (Bucket& b : plan_) {
     b.pending = b.params.size();
     b.launched = false;
+    for (Param* p : b.params) {
+      const ChunkRange own = Communicator::owned_chunk(
+          static_cast<std::size_t>(p->size()), comm.rank(), comm.world_size());
+      owned_.push_back({p, own.begin, own.end});
+    }
   }
   engine_ = &engine;
-  world_ = comm.world_size();
 }
 
 void DenseGradSync::notify_ready(const Param* param) {
@@ -90,7 +107,7 @@ void DenseGradSync::launch_bucket(std::size_t index) {
 void DenseGradSync::run_bucket(Communicator& comm, std::size_t index) {
   WireCodecScope codec_scope(comm, options_.codec);
   // One collective per parameter, in plan order.  A concatenated
-  // bucket-wide allreduce would shift the ring chunk boundaries and with
+  // bucket-wide reduce-scatter would shift the ring chunk boundaries and with
   // them each element's cross-rank summation order, so the result would
   // depend on the bucket size; keeping the wire schedule per-parameter
   // also keeps the collective count (and so every

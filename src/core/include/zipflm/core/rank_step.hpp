@@ -1,6 +1,8 @@
 // One rank's training step, in the paper's fixed per-rank order:
-// forward and backward, ALLREDUCE the dense gradients, exchange the
-// embedding gradients, update.  It talks to peers only through a
+// forward and backward, reduce the dense gradients, exchange the
+// embedding gradients, update.  The dense ALLREDUCE runs as its two
+// ring halves around the update: each rank reduce-scatters, steps the
+// chunk it owns and allgathers the values (DenseGradSync).  It talks to peers only through a
 // Communicator, so the same step runs as a CommWorld thread
 // (DistributedTrainer) or a ProcessGroup process.  Drivers own the data
 // order, the learning-rate schedule and the aggregate statistics.
@@ -32,8 +34,8 @@ struct TrainerOptions {
   bool unique_exchange = true;    ///< Section III-A
   WirePrecision wire = WirePrecision::FP32;  ///< Section III-C
   float compression_scale = 1024.0f;
-  /// Gradient wire codec for the sum-allreduces (dense buckets and the
-  /// UNIQUE M block): Packed is lossless byte-plane+RLE (bitwise
+  /// Gradient wire codec for the sum-reductions (dense reduce-scatters
+  /// and the UNIQUE M block allreduce): Packed is lossless byte-plane+RLE (bitwise
   /// identical results); Int8 quantizes each ring chunk with a per-chunk
   /// FP32 scale (deterministic, epsilon-gated on accuracy).
   WireCodec wire_codec = WireCodec::None;
@@ -57,26 +59,29 @@ struct TrainerOptions {
   /// Dynamic loss-scaler overflow policy: when any synchronized gradient
   /// comes back non-finite (e.g. a corrupted wire payload), every rank
   /// deterministically skips the optimizer step and backs the scale off
-  /// instead of poisoning the weights.  Off by default — the guard scans
-  /// every gradient each step, and existing trajectories must not move.
+  /// instead of poisoning the weights.  Off by default — each step every
+  /// rank scans what it updates and a one-float max-allreduce votes, and
+  /// existing trajectories must not move.
   bool dynamic_loss_scale = false;
   float initial_loss_scale = 1024.0f;
   /// When > 0, dense rank 0 refreshes the expensive "train/..." gauges
   /// (grad_norm, tokens_per_s) every N optimizer steps and invokes
-  /// metrics_sink (when set) with the global step index.  The sink runs
-  /// on rank 0's thread, mid-epoch — keep it cheap and thread-safe.
+  /// metrics_sink (when set) with the global step index.  The gradient
+  /// norm sums every rank's owned chunks through one scalar allreduce,
+  /// so at G > 1 every rank joins it.  The sink runs on rank 0's thread,
+  /// mid-epoch — keep it cheap and thread-safe.
   int metrics_every = 0;
   std::function<void(std::uint64_t global_step)> metrics_sink;
 
   /// Overlapped bucketed gradient exchange: pack the dense gradients
   /// into fixed-byte buckets in reverse-backprop order and launch each
-  /// bucket's allreduce on a per-rank comm thread the moment its last
+  /// bucket's reduce-scatters on a per-rank comm thread the moment its last
   /// parameter's backward completes; the embedding index allgather is
   /// kicked off eagerly at step start.  Bitwise identical to the
   /// synchronous path, which runs the same buckets inline after
   /// backward (fixed bucket boundaries, fixed ring schedules —
   /// tests/test_async_exchange.cpp asserts `==`).  Off by default
-  /// because the eager id gather moves ahead of the dense allreduces,
+  /// because the eager id gather moves ahead of the dense reductions,
   /// which would silently shift recorded fault-injection points
   /// (FaultSpec::at_collective counts collectives).
   bool overlapped_exchange = false;
@@ -88,8 +93,7 @@ struct TrainerOptions {
   /// shards (CharLmConfig::shard_rank/shard_world = rank/world).
   /// Replicated mode stays the default and the bitwise test oracle:
   /// sharded losses and assembled weights are `==` replicated ones.
-  /// Requires FP32 wire and no dynamic loss scaling; Packed/index
-  /// codecs apply to the row payloads.
+  /// Requires FP32 wire; Packed/index codecs apply to the row payloads.
   bool shard_embedding = false;
 };
 
@@ -142,6 +146,7 @@ class RankStep {
 
   LmModel& model() noexcept { return *model_; }
   Optimizer& optimizer() noexcept { return *optimizer_; }
+  const Optimizer& optimizer() const noexcept { return *optimizer_; }
   MemoryPool& pool() noexcept { return *pool_; }
   const MemoryPool& pool() const noexcept { return *pool_; }
   /// Null unless dynamic_loss_scale.

@@ -97,6 +97,7 @@ class DistributedTrainer {
   }
 
   LmModel& model(int rank);
+  const Optimizer& optimizer(int rank) const;
   const MemoryPool& pool(int rank) const;
   const TrainerOptions& options() const noexcept { return options_; }
 

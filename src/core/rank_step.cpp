@@ -45,16 +45,17 @@ struct TrainMetrics {
   }
 };
 
-/// L2 norm over the dense (post-allreduce) gradients.  Only evaluated on
-/// the metrics interval — it reads every dense gradient element.
-double dense_grad_norm(const std::vector<Param*>& dense) {
+/// Sum of squares over this rank's owned gradient chunks.  Only
+/// evaluated on the metrics interval — it reads every owned element.
+double owned_grad_sq(std::span<const ParamRange> owned) {
   double sq = 0.0;
-  for (const Param* p : dense) {
-    for (const float g : p->grad.data()) {
+  for (const ParamRange& r : owned) {
+    for (const float g :
+         r.param->grad.data().subspan(r.begin, r.end - r.begin)) {
       sq += static_cast<double>(g) * static_cast<double>(g);
     }
   }
-  return std::sqrt(sq);
+  return sq;
 }
 
 ExchangeOptions exchange_options(const TrainerOptions& o) {
@@ -81,9 +82,9 @@ RankStep::RankStep(const TrainerOptions& options,
     optimizer_ = std::make_unique<Sgd>(options_.base_lr, options_.clip);
   }
   if (options_.dynamic_loss_scale) {
-    // Per-rank scalers, not one shared: every rank sees the same
-    // post-collective gradients, so the policies march in lockstep
-    // without cross-rank state.
+    // Per-rank scalers, not one shared: every rank applies the same
+    // overflow vote, so the policies march in lockstep without
+    // cross-rank state.
     scaler_ = LossScaler::dynamic(options_.initial_loss_scale);
   }
 
@@ -92,9 +93,6 @@ RankStep::RankStep(const TrainerOptions& options,
     ZIPFLM_CHECK(options_.wire == WirePrecision::FP32,
                  "shard_embedding needs the FP32 wire (compression-scaled "
                  "FP16 is a replicated-path feature)");
-    ZIPFLM_CHECK(!options_.dynamic_loss_scale,
-                 "shard_embedding returns per-owner gradient rows, so the "
-                 "overflow scan would not be uniform across ranks");
     ZIPFLM_CHECK(options_.samples_per_rank == 0,
                  "shard_embedding covers the input table only (char LM); "
                  "sampled-softmax output tables stay replicated");
@@ -236,15 +234,22 @@ RankStep::Outcome RankStep::Session::step(const Batch& batch,
     }
 
     if (rs.scaler_.has_value()) {
-      // Collectives give every rank the same reduced values, so a NaN
-      // injected by any one rank (e.g. a corrupted wire chunk) shows up
-      // identically on all of them: the skip decision is uniform without
-      // an extra vote collective, and the replicas stay in lockstep.
+      // Each rank scans what it will update — its owned dense chunks and
+      // the rows it steps — and one max-vote makes the skip uniform.  A
+      // NaN injected by any rank (e.g. a corrupted wire chunk) reaches
+      // every chunk's sum, so every owner sees it anyway; the vote
+      // covers the owner-only rows of a sharded table too.
       bool overflow = !all_finite(urows.data()) ||
                       (out_emb != nullptr && !all_finite(ourows.data()));
-      for (const Param* p : dense) {
+      for (const ParamRange& r : rs.dense_sync_.owned()) {
         if (overflow) break;
-        overflow = !all_finite(p->grad.data());
+        overflow = !all_finite(
+            r.param->grad.data().subspan(r.begin, r.end - r.begin));
+      }
+      if (comm_.world_size() > 1) {
+        float vote = overflow ? 1.0f : 0.0f;
+        comm_.allreduce_max(std::span<float>(&vote, 1));
+        overflow = vote > 0.0f;
       }
       rs.scaler_->update(overflow);
       out.applied = !overflow;
@@ -256,7 +261,11 @@ RankStep::Outcome RankStep::Session::step(const Batch& batch,
     PhaseScope phase("optimizer");
     Optimizer& opt = *rs.optimizer_;
     if (rs.options_.use_adam) static_cast<Adam&>(opt).begin_step();
-    opt.step(dense);
+    // Owner update: step this rank's chunk of each dense parameter, then
+    // allgather the values.  The allgather sits past the overflow guard:
+    // a fault on it reaches the weights.
+    opt.step(rs.dense_sync_.owned());
+    rs.dense_sync_.gather_values(comm_);
     if (rs.sharded_ != nullptr) {
       // The push handed back this rank's OWNED rows under global ids;
       // the sparse update indexes the local shard.
@@ -276,14 +285,25 @@ RankStep::Outcome RankStep::Session::step(const Batch& batch,
       static_cast<std::uint64_t>(rs.options_.batch.tokens_per_rank());
   tm.steps.add(1);
   tm.tokens.add(batch_tokens);
+  const int every = rs.options_.metrics_every;
+  const bool report =
+      every > 0 && steps_ % static_cast<std::uint64_t>(every) == 0;
+  float grad_sq = 0.0f;
+  if (report) {
+    // Every rank holds only its owned chunks of the averaged gradients:
+    // one scalar allreduce sums their squares.
+    grad_sq = static_cast<float>(owned_grad_sq(rs.dense_sync_.owned()));
+    if (comm_.world_size() > 1) {
+      comm_.allreduce_sum(std::span<float>(&grad_sq, 1));
+    }
+  }
   if (comm_.rank() == 0) {
     // One writer (dense rank 0), plain relaxed stores: the gauges
     // always hold the latest step's values.
     tm.loss.set(out.loss);
     if (rs.scaler_.has_value()) tm.loss_scale.set(rs.scaler_->scale());
-    const int every = rs.options_.metrics_every;
-    if (every > 0 && steps_ % static_cast<std::uint64_t>(every) == 0) {
-      tm.grad_norm.set(dense_grad_norm(dense));
+    if (report) {
+      tm.grad_norm.set(std::sqrt(static_cast<double>(grad_sq)));
       const auto now = std::chrono::steady_clock::now();
       const double secs =
           std::chrono::duration<double>(now - interval_start_).count();

@@ -29,6 +29,11 @@ LmModel& DistributedTrainer::model(int rank) {
   return ranks_[static_cast<std::size_t>(rank)].model();
 }
 
+const Optimizer& DistributedTrainer::optimizer(int rank) const {
+  ZIPFLM_CHECK(rank >= 0 && rank < world_.total_ranks(), "rank out of range");
+  return ranks_[static_cast<std::size_t>(rank)].optimizer();
+}
+
 const MemoryPool& DistributedTrainer::pool(int rank) const {
   ZIPFLM_CHECK(rank >= 0 && rank < world_.total_ranks(), "rank out of range");
   return ranks_[static_cast<std::size_t>(rank)].pool();
@@ -202,10 +207,12 @@ std::vector<Param*> DistributedTrainer::checkpoint_params(LmModel& model,
 }
 
 void DistributedTrainer::save_state(std::ostream& out) {
-  // Replicas are bit-identical (replicas_in_sync is a tested invariant),
-  // so one rank's parameters and optimizer moments stand for all; the
-  // dropout streams are saved per rank because each rank draws its own.
-  RankStep& rank0 = ranks_[static_cast<std::size_t>(world_.live_ranks().front())];
+  // Dense weights and replicated tables are bit-identical on every live
+  // rank (replicas_in_sync is a tested invariant), so the first live
+  // rank's stand for all; the dropout streams are saved per rank
+  // because each rank draws its own.
+  const std::vector<int>& live = world_.live_ranks();
+  RankStep& rank0 = ranks_[static_cast<std::size_t>(live.front())];
   LmModel& reference = rank0.model();
 
   TrainState ts;
@@ -220,82 +227,63 @@ void DistributedTrainer::save_state(std::ostream& out) {
   }
   const CheckpointMeta meta{global_step_, epochs_completed_};
 
-  if (!options_.shard_embedding) {
-    std::ostringstream blob(std::ios::binary);
-    const auto params = reference.all_params();
-    rank0.optimizer().save_state(blob, params);
-    ts.optimizer_blob = blob.str();
-    save_checkpoint(out, reference, meta, &ts);
-    return;
-  }
-
-  // Sharded table: the on-disk layout is the CANONICAL replicated one —
-  // the full V x D table (and moment tensors) under the replicated
-  // parameter name, assembled from every rank's owned slice.  A
-  // checkpoint saved at any world size therefore restores into any
-  // other (re-sharding is just re-slicing on load), and into a
-  // replicated model unchanged.
-  const Index vocab = reference.vocab();
+  // The on-disk layout is the CANONICAL replicated one.  A sharded
+  // table is written whole (V x D, under the replicated parameter
+  // name), assembled from every rank's owned rows, so a checkpoint
+  // saved at any world size restores into any other (re-sharding is
+  // just re-slicing on load), and into a replicated model unchanged.
   const Index dim = reference.embed_dim();
-  Param full("embedding", Tensor({vocab, dim}));
+  Param full("embedding", options_.shard_embedding
+                              ? Tensor({reference.vocab(), dim})
+                              : Tensor());
   for (RankStep& rank : ranks_) {
     const ShardedEmbedding* se = rank.model().sharded_input();
-    ZIPFLM_ASSERT(se != nullptr, "sharded trainer holds a replicated model");
-    std::memcpy(full.value.data().data() +
-                    se->row_begin() * dim,
-                se->param().value.data().data(),
-                se->param().value.bytes());
+    if (se == nullptr) continue;
+    std::memcpy(full.value.data().data() + se->row_begin() * dim,
+                se->param().value.data().data(), se->param().value.bytes());
   }
   const auto params = checkpoint_params(reference, full);
 
   if (options_.use_adam) {
-    // Synthesize the canonical Adam blob by hand (save_state format:
-    // step count, then per parameter a presence byte + raw m + raw v):
-    // dense moments come from the reference optimizer, the table's from
-    // stitching every rank's moment slice — zeros where a shard has
-    // never stepped, matching Adam's lazily-zero-initialized moments.
+    // Adam's save_state format (step count, then per parameter a
+    // presence byte + raw m + raw v), stitched from the live ranks'
+    // moment slices: dense owner chunks, sharded table rows, and the
+    // whole moments of replicated tables.  Elements no slice covers
+    // stay zero, matching Adam's lazily-zero-initialized moments.
     std::ostringstream blob(std::ios::binary);
-    const auto& ref_opt = static_cast<const Adam&>(rank0.optimizer());
-    write_pod<std::int64_t>(blob, ref_opt.step_count());
-    for (const Param* p : params) {
-      if (p == &full) {
-        bool present = false;
-        for (RankStep& rank : ranks_) {
-          const auto& opt = static_cast<const Adam&>(rank.optimizer());
-          present = present ||
-                    opt.has_moments(rank.model().sharded_input()->param());
+    write_pod<std::int64_t>(
+        blob, static_cast<const Adam&>(rank0.optimizer()).step_count());
+    std::vector<std::vector<Param*>> rank_params;
+    for (const int r : live) {
+      rank_params.push_back(
+          ranks_[static_cast<std::size_t>(r)].model().all_params());
+    }
+    for (std::size_t j = 0; j < params.size(); ++j) {
+      Tensor fm(params[j]->value.shape());
+      Tensor fv(params[j]->value.shape());
+      bool present = false;
+      for (std::size_t dr = 0; dr < live.size(); ++dr) {
+        RankStep& rank = ranks_[static_cast<std::size_t>(live[dr])];
+        const auto& opt = static_cast<const Adam&>(rank.optimizer());
+        const Param& rp = *rank_params[dr][j];
+        if (!opt.has_moments(rp)) continue;
+        present = true;
+        std::size_t at = opt.moment_begin(rp);
+        if (params[j] == &full) {
+          at += static_cast<std::size_t>(
+              rank.model().sharded_input()->row_begin() * dim);
         }
-        write_pod<std::uint8_t>(blob, present ? 1 : 0);
-        if (!present) continue;
-        Tensor fm({vocab, dim});
-        Tensor fv({vocab, dim});
-        for (RankStep& rank : ranks_) {
-          const auto& opt = static_cast<const Adam&>(rank.optimizer());
-          const ShardedEmbedding* se = rank.model().sharded_input();
-          const Param& sp = se->param();
-          if (!opt.has_moments(sp)) continue;
-          std::memcpy(fm.data().data() + se->row_begin() * dim,
-                      opt.moment_m(sp).data().data(),
-                      opt.moment_m(sp).bytes());
-          std::memcpy(fv.data().data() + se->row_begin() * dim,
-                      opt.moment_v(sp).data().data(),
-                      opt.moment_v(sp).bytes());
-        }
-        blob.write(reinterpret_cast<const char*>(fm.data().data()),
-                   static_cast<std::streamsize>(fm.bytes()));
-        blob.write(reinterpret_cast<const char*>(fv.data().data()),
-                   static_cast<std::streamsize>(fv.bytes()));
-        continue;
+        std::memcpy(fm.data().data() + at, opt.moment_m(rp).data().data(),
+                    opt.moment_m(rp).bytes());
+        std::memcpy(fv.data().data() + at, opt.moment_v(rp).data().data(),
+                    opt.moment_v(rp).bytes());
       }
-      const bool present = ref_opt.has_moments(*p);
       write_pod<std::uint8_t>(blob, present ? 1 : 0);
       if (!present) continue;
-      blob.write(
-          reinterpret_cast<const char*>(ref_opt.moment_m(*p).data().data()),
-          static_cast<std::streamsize>(ref_opt.moment_m(*p).bytes()));
-      blob.write(
-          reinterpret_cast<const char*>(ref_opt.moment_v(*p).data().data()),
-          static_cast<std::streamsize>(ref_opt.moment_v(*p).bytes()));
+      blob.write(reinterpret_cast<const char*>(fm.data().data()),
+                 static_cast<std::streamsize>(fm.bytes()));
+      blob.write(reinterpret_cast<const char*>(fv.data().data()),
+                 static_cast<std::streamsize>(fv.bytes()));
     }
     ts.optimizer_blob = blob.str();
   }  // SGD carries no optimizer state (Optimizer::save_state is a no-op).
@@ -316,22 +304,19 @@ void DistributedTrainer::restore_state(std::istream& in,
   for (std::size_t r = 0; r < ranks_.size(); ++r) {
     LmModel& m = ranks_[r].model();
     std::istringstream stream(raw, std::ios::binary);
-    if (!options_.shard_embedding) {
-      meta = load_checkpoint(stream, m, r == 0 ? &ts : nullptr);
-      continue;
-    }
-    // Sharded: read the canonical full table into a scratch parameter,
-    // then keep only this replica's owned slice.
+    // A sharded table reads the canonical full table into a scratch
+    // parameter, then keeps only this replica's owned rows.
     ShardedEmbedding* se = m.sharded_input();
-    ZIPFLM_ASSERT(se != nullptr, "sharded trainer holds a replicated model");
-    Param full("embedding", Tensor({vocab, dim}));
+    Param full("embedding", se != nullptr ? Tensor({vocab, dim}) : Tensor());
     const auto params = checkpoint_params(m, full);
     meta = load_checkpoint(stream, std::span<Param* const>(params),
                            r == 0 ? &ts : nullptr);
-    std::memcpy(se->param().value.data().data(),
-                full.value.data().data() + se->row_begin() * dim,
-                se->param().value.bytes());
-    se->clear_cache();
+    if (se != nullptr) {
+      std::memcpy(se->param().value.data().data(),
+                  full.value.data().data() + se->row_begin() * dim,
+                  se->param().value.bytes());
+      se->clear_cache();
+    }
   }
   ZIPFLM_CHECK(ts.present,
                "checkpoint carries no training state; it can initialize "
@@ -345,47 +330,58 @@ void DistributedTrainer::restore_state(std::istream& in,
                "checkpoint has no loss-scaler state but dynamic scaling "
                "is enabled");
 
+  const std::vector<int>& live = world_.live_ranks();
+  const int g = static_cast<int>(live.size());
   for (std::size_t r = 0; r < ranks_.size(); ++r) {
     RankStep& rank = ranks_[r];
-    if (!options_.shard_embedding || !options_.use_adam) {
-      // SGD is stateless, so the blob is empty either way; replicated
-      // Adam parses it against the live parameter list directly.
-      std::istringstream blob(ts.optimizer_blob, std::ios::binary);
-      const auto params = rank.model().all_params();
-      rank.optimizer().load_state(blob, params);
-    } else {
-      // Sharded Adam: parse the canonical blob by hand, slicing the
-      // table's moment tensors down to this replica's owned rows.
-      std::istringstream blob(ts.optimizer_blob, std::ios::binary);
-      ShardedEmbedding* se = rank.model().sharded_input();
-      Param full("embedding", Tensor({vocab, dim}));
-      const auto params = checkpoint_params(rank.model(), full);
+    const auto pos = std::find(live.begin(), live.end(), static_cast<int>(r));
+    if (options_.use_adam) {
+      // Parse the canonical blob and keep this rank's slice of each
+      // moment: its owned chunk of every dense parameter at the live
+      // world size, its rows of a sharded table, whole replicated
+      // tables.  Retired ranks never step again and keep nothing.
       auto& opt = static_cast<Adam&>(rank.optimizer());
       opt.clear_moments();
+      std::istringstream blob(ts.optimizer_blob, std::ios::binary);
       const auto steps = read_pod<std::int64_t>(blob);
       ZIPFLM_CHECK(steps >= 0, "negative Adam step count in optimizer state");
       opt.set_step_count(steps);
+      const auto params = rank.model().all_params();
+      const auto dense = rank.model().dense_params();
+      const ShardedEmbedding* se = rank.model().sharded_input();
       for (Param* p : params) {
         if (read_pod<std::uint8_t>(blob) == 0) continue;
-        Tensor m(p->value.shape());
-        Tensor v(p->value.shape());
+        const bool table = se != nullptr && p == &se->param();
+        const std::vector<Index> shape =
+            table ? std::vector<Index>{vocab, dim} : p->value.shape();
+        Tensor m(shape);
+        Tensor v(shape);
         blob.read(reinterpret_cast<char*>(m.data().data()),
                   static_cast<std::streamsize>(m.bytes()));
         blob.read(reinterpret_cast<char*>(v.data().data()),
                   static_cast<std::streamsize>(v.bytes()));
         ZIPFLM_CHECK(blob.good(),
                      "optimizer state truncated for parameter " + p->name);
-        if (p == &full) {
-          Tensor sm({se->owned_rows(), dim});
-          Tensor sv({se->owned_rows(), dim});
-          std::memcpy(sm.data().data(), m.data().data() + se->row_begin() * dim,
-                      sm.bytes());
-          std::memcpy(sv.data().data(), v.data().data() + se->row_begin() * dim,
-                      sv.bytes());
-          opt.set_moments(se->param(), std::move(sm), std::move(sv));
-        } else {
-          opt.set_moments(*p, std::move(m), std::move(v));
+        if (pos == live.end()) continue;
+        ChunkRange keep{0, static_cast<std::size_t>(p->value.size())};
+        std::size_t at = 0;
+        if (table) {
+          at = static_cast<std::size_t>(se->row_begin() * dim);
+        } else if (std::find(dense.begin(), dense.end(), p) != dense.end()) {
+          keep = Communicator::owned_chunk(
+              keep.size(), static_cast<int>(pos - live.begin()), g);
         }
+        if (at == 0 && keep.size() == static_cast<std::size_t>(m.size())) {
+          opt.set_moments(*p, std::move(m), std::move(v));
+          continue;
+        }
+        Tensor sm({static_cast<Index>(keep.size())});
+        Tensor sv({static_cast<Index>(keep.size())});
+        std::memcpy(sm.data().data(), m.data().data() + at + keep.begin,
+                    sm.bytes());
+        std::memcpy(sv.data().data(), v.data().data() + at + keep.begin,
+                    sv.bytes());
+        opt.set_moments(*p, std::move(sm), std::move(sv), keep.begin);
       }
     }
     if (r < ts.rank_rng.size()) {

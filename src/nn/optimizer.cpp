@@ -97,9 +97,13 @@ void adam_span(float* value, const float* grad, float* m, float* v,
 
 /// A row-sparse table has no dense gradient to step on: its rows go
 /// through step_rows.
-void check_dense_grad(const Param& p) {
+void check_range(const ParamRange& r) {
+  const Param& p = *r.param;
   ZIPFLM_CHECK(p.grad.size() == p.value.size(),
                "dense optimizer step on row-sparse parameter " + p.name);
+  ZIPFLM_CHECK(r.begin <= r.end &&
+                   r.end <= static_cast<std::size_t>(p.value.size()),
+               "optimizer step range outside parameter " + p.name);
 }
 
 template <class Fn>
@@ -112,22 +116,30 @@ void dispatch_chunks(std::size_t n, const Fn& fn) {
 void Optimizer::save_state(std::ostream&, std::span<Param* const>) const {}
 void Optimizer::load_state(std::istream&, std::span<Param* const>) {}
 
-void Sgd::step(std::span<Param* const> params) {
-  const bool native = simd::active_backend() == simd::Backend::kNative;
+void Optimizer::step(std::span<Param* const> params) {
+  std::vector<ParamRange> whole;
+  whole.reserve(params.size());
   for (Param* p : params) {
-    check_dense_grad(*p);
-    const float* g = p->grad.data().data();
-    float* v = p->value.data().data();
-    dispatch_chunks(p->value.data().size(),
-                    [&](std::size_t b, std::size_t e) {
-                      if (native) {
-                        sgd_span<simd::NativeOps>(v + b, g + b, e - b, lr_,
-                                                  weight_decay_, clip_);
-                      } else {
-                        sgd_span<simd::ScalarOps>(v + b, g + b, e - b, lr_,
-                                                  weight_decay_, clip_);
-                      }
-                    });
+    whole.push_back({p, 0, static_cast<std::size_t>(p->value.size())});
+  }
+  step(std::span<const ParamRange>(whole));
+}
+
+void Sgd::step(std::span<const ParamRange> ranges) {
+  const bool native = simd::active_backend() == simd::Backend::kNative;
+  for (const ParamRange& r : ranges) {
+    check_range(r);
+    const float* g = r.param->grad.data().data() + r.begin;
+    float* v = r.param->value.data().data() + r.begin;
+    dispatch_chunks(r.end - r.begin, [&](std::size_t b, std::size_t e) {
+      if (native) {
+        sgd_span<simd::NativeOps>(v + b, g + b, e - b, lr_, weight_decay_,
+                                  clip_);
+      } else {
+        sgd_span<simd::ScalarOps>(v + b, g + b, e - b, lr_, weight_decay_,
+                                  clip_);
+      }
+    });
   }
 }
 
@@ -155,49 +167,65 @@ void Sgd::step_rows(Param& table, const Tensor& rows,
   });
 }
 
-Adam::Moments& Adam::moments_for(const Param& p) {
+Adam::Moments& Adam::moments_for(const Param& p, std::size_t begin,
+                                 std::size_t end) {
   auto it = state_.find(&p);
   if (it == state_.end()) {
     Moments mo;
-    mo.m = Tensor(p.value.shape());
-    mo.v = Tensor(p.value.shape());
+    mo.begin = begin;
+    if (begin == 0 && end == static_cast<std::size_t>(p.value.size())) {
+      mo.m = Tensor(p.value.shape());
+      mo.v = Tensor(p.value.shape());
+    } else {
+      mo.m = Tensor({static_cast<Index>(end - begin)});
+      mo.v = Tensor({static_cast<Index>(end - begin)});
+    }
     it = state_.emplace(&p, std::move(mo)).first;
   }
+  ZIPFLM_CHECK(it->second.begin == begin &&
+                   static_cast<std::size_t>(it->second.m.size()) ==
+                       end - begin,
+               "Adam: moments of " + p.name +
+                   " cover a different range than this step (restore the "
+                   "optimizer state after the world size changes)");
   return it->second;
 }
 
-void Adam::set_moments(const Param& p, Tensor m, Tensor v) {
-  ZIPFLM_CHECK(m.shape() == p.value.shape() && v.shape() == p.value.shape(),
-               "Adam::set_moments: moment shapes must match the parameter");
-  Moments& mo = moments_for(p);
-  mo.m = std::move(m);
-  mo.v = std::move(v);
+void Adam::set_moments(const Param& p, Tensor m, Tensor v, std::size_t begin) {
+  ZIPFLM_CHECK(m.size() == v.size() &&
+                   begin + static_cast<std::size_t>(m.size()) <=
+                       static_cast<std::size_t>(p.value.size()),
+               "Adam::set_moments: moments must fit the parameter");
+  state_[&p] = Moments{begin, std::move(m), std::move(v)};
 }
 
-void Adam::step(std::span<Param* const> params) {
+std::size_t Adam::state_bytes() const {
+  std::size_t bytes = 0;
+  for (const auto& [p, mo] : state_) bytes += mo.m.bytes() + mo.v.bytes();
+  return bytes;
+}
+
+void Adam::step(std::span<const ParamRange> ranges) {
   const float t = static_cast<float>(std::max<std::int64_t>(t_, 1));
   const float bc1 = 1.0f - std::pow(cfg_.beta1, t);
   const float bc2 = 1.0f - std::pow(cfg_.beta2, t);
   const bool native = simd::active_backend() == simd::Backend::kNative;
-  for (Param* p : params) {
-    check_dense_grad(*p);
-    Moments& mo = moments_for(*p);
-    const float* g = p->grad.data().data();
-    float* v = p->value.data().data();
+  for (const ParamRange& r : ranges) {
+    check_range(r);
+    Moments& mo = moments_for(*r.param, r.begin, r.end);
+    const float* g = r.param->grad.data().data() + r.begin;
+    float* v = r.param->value.data().data() + r.begin;
     float* m_p = mo.m.data().data();
     float* v_p = mo.v.data().data();
-    dispatch_chunks(p->value.data().size(),
-                    [&](std::size_t b, std::size_t e) {
-                      if (native) {
-                        adam_span<simd::NativeOps>(v + b, g + b, m_p + b,
-                                                   v_p + b, e - b, cfg_, bc1,
-                                                   bc2);
-                      } else {
-                        adam_span<simd::ScalarOps>(v + b, g + b, m_p + b,
-                                                   v_p + b, e - b, cfg_, bc1,
-                                                   bc2);
-                      }
-                    });
+    dispatch_chunks(r.end - r.begin, [&](std::size_t b, std::size_t e) {
+      if (native) {
+        adam_span<simd::NativeOps>(v + b, g + b, m_p + b, v_p + b, e - b,
+                                   cfg_, bc1, bc2);
+      } else {
+        adam_span<simd::ScalarOps>(v + b, g + b, m_p + b, v_p + b, e - b,
+                                   cfg_, bc1, bc2);
+      }
+    });
   }
 }
 
@@ -207,7 +235,8 @@ void Adam::step_rows(Param& table, const Tensor& rows,
                "sparse step row width must match the table");
   ZIPFLM_CHECK(rows.rows() == static_cast<Index>(ids.size()),
                "one id per gradient row");
-  Moments& mo = moments_for(table);
+  Moments& mo =
+      moments_for(table, 0, static_cast<std::size_t>(table.value.size()));
   const float t = static_cast<float>(std::max<std::int64_t>(t_, 1));
   const float bc1 = 1.0f - std::pow(cfg_.beta1, t);
   const float bc2 = 1.0f - std::pow(cfg_.beta2, t);
@@ -240,6 +269,9 @@ void Adam::save_state(std::ostream& out,
     write_pod<std::uint8_t>(out, it != state_.end() ? 1 : 0);
     if (it == state_.end()) continue;
     const Moments& mo = it->second;
+    ZIPFLM_CHECK(mo.begin == 0 && mo.m.size() == p->value.size(),
+                 "Adam::save_state: moments of " + p->name +
+                     " are an owner slice, not the whole parameter");
     out.write(reinterpret_cast<const char*>(mo.m.data().data()),
               static_cast<std::streamsize>(mo.m.bytes()));
     out.write(reinterpret_cast<const char*>(mo.v.data().data()),
@@ -254,7 +286,8 @@ void Adam::load_state(std::istream& in, std::span<Param* const> params) {
   ZIPFLM_CHECK(t_ >= 0, "negative Adam step count in optimizer state");
   for (Param* p : params) {
     if (read_pod<std::uint8_t>(in) == 0) continue;
-    Moments& mo = moments_for(*p);
+    Moments& mo =
+        moments_for(*p, 0, static_cast<std::size_t>(p->value.size()));
     in.read(reinterpret_cast<char*>(mo.m.data().data()),
             static_cast<std::streamsize>(mo.m.bytes()));
     in.read(reinterpret_cast<char*>(mo.v.data().data()),

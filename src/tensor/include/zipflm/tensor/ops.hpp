@@ -22,6 +22,7 @@ void axpy(float alpha, const Tensor& x, Tensor& y);
 
 /// x *= alpha.
 void scale(Tensor& x, float alpha);
+void scale(std::span<float> x, float alpha);
 
 /// Elementwise y = f(x); x and y may alias.
 void sigmoid(const Tensor& x, Tensor& y);

@@ -328,10 +328,12 @@ void axpy(float alpha, const Tensor& x, Tensor& y) {
       kElementGrain);
 }
 
-void scale(Tensor& x, float alpha) {
-  float* xs = x.data().data();
+void scale(Tensor& x, float alpha) { scale(x.data(), alpha); }
+
+void scale(std::span<float> x, float alpha) {
+  float* xs = x.data();
   ThreadPool::global().parallel_chunks(
-      x.data().size(),
+      x.size(),
       [&](std::size_t b, std::size_t e) { simd::scale(xs + b, alpha, e - b); },
       kElementGrain);
 }

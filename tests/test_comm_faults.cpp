@@ -240,9 +240,10 @@ TEST_P(CommFaults, TrainerSkipsCorruptedStepUniformly) {
   opt.dynamic_loss_scale = true;  // arms the overflow guard
   DistributedTrainer trainer(world, char_factory(vocab), opt);
 
-  // Collective 0 of the epoch is the first step's dense-gradient
-  // allreduce: the poisoned payload reduces to NaN on both ranks, so
-  // both skip the same optimizer step and the replicas never diverge.
+  // Collective 0 of the epoch is the first step's first dense-gradient
+  // reduce-scatter: the poisoned payload reaches both ranks' owned
+  // chunks as NaN, the overflow vote agrees, so both skip the same
+  // optimizer step and the replicas never diverge.
   FaultPlan plan;
   plan.events.push_back({.rank = 1, .kind = FaultKind::Corrupt,
                          .at_collective = 0});
@@ -294,6 +295,43 @@ TEST_P(CommFaults, ResilientEpochRollsBackAndExcludesDeadRank) {
   // And the degraded trainer keeps training normally afterwards.
   const auto next = trainer.run_epoch(train, valid, 1);
   EXPECT_TRUE(std::isfinite(next.train_loss));
+  std::remove(ckpt.c_str());
+}
+
+TEST_P(CommFaults, AdamRefusesToStepOnAfterAWorldChangeWithoutRestore) {
+  // Adam's moments are owner slices of the dense parameters: after a
+  // rank dies the survivors own different ring chunks, so stepping on
+  // without restoring a checkpoint must fail loudly rather than pair
+  // gradients with another chunk's moments.  Restoring re-slices them.
+  const Index vocab = 30;
+  const auto train = tiny_corpus(vocab, 1200, 51);
+  const auto valid = tiny_corpus(vocab, 300, 52);
+  const std::string ckpt = ::testing::TempDir() + "zipflm_world_change.ckpt";
+
+  CommWorld world(3, world_options(2.0));
+  DistributedTrainer trainer(world, char_factory(vocab),
+                             trainer_options(char_options()));
+  trainer.run_epoch(train, valid, 0);
+  trainer.save_state_file(ckpt);
+  // Kill rank 1 a few collectives into the next epoch: the world ran
+  // nothing before epoch 0, whose ledger holds every call so far.
+  const TrafficLedger led = world.total_ledger();
+  const std::uint64_t calls_per_rank =
+      (led.allreduce_calls + led.reduce_scatter_calls + led.allgather_calls +
+       led.alltoall_calls + led.broadcast_calls + led.barrier_calls) /
+      3;
+  FaultPlan plan;
+  plan.events.push_back({.rank = 1, .kind = FaultKind::Kill,
+                         .at_collective = calls_per_rank + 10});
+  world.inject_faults(plan);
+  EXPECT_THROW(trainer.run_epoch(train, valid, 1), CollectiveTimeoutError);
+  ASSERT_EQ(world.world_size(), 2);
+
+  EXPECT_THROW(trainer.run_epoch(train, valid, 1), ConfigError);
+  trainer.restore_state_file(ckpt);
+  const auto stats = trainer.run_epoch(train, valid, 1);
+  EXPECT_TRUE(std::isfinite(stats.train_loss));
+  EXPECT_TRUE(trainer.replicas_in_sync());
   std::remove(ckpt.c_str());
 }
 

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
+#include <sstream>
+#include <vector>
 
 #include "zipflm/nn/optimizer.hpp"
 
@@ -146,6 +150,84 @@ TEST(Adam, BiasCorrectionMakesFirstStepLrSized) {
   Param* ps[] = {&p};
   adam.step(ps);
   EXPECT_NEAR(p.value(0), -0.01f, 1e-4f);
+}
+
+TEST(Optimizer, RangeStepsTileToTheWholeStepBitwise) {
+  // Three "ranks" each step one range of the same parameter, the way the
+  // owner-side update steps ring chunks; stitched together they are the
+  // whole-parameter step bit for bit, and each Adam holds moments for
+  // its range only.
+  const Index n = 37;
+  const std::size_t cuts[] = {0, 13, 25, 37};
+  const auto fill = [n](Param& p) {
+    for (Index i = 0; i < n; ++i) {
+      p.value(i) = 0.1f * static_cast<float>(i % 7) - 0.3f;
+    }
+  };
+  for (const bool adam : {true, false}) {
+    Adam::Config cfg;
+    cfg.lr = 0.01f;
+    cfg.clip = 0.5f;
+    const auto make = [&]() -> std::unique_ptr<Optimizer> {
+      if (adam) return std::make_unique<Adam>(cfg);
+      return std::make_unique<Sgd>(0.1f, 0.5f);
+    };
+    Param whole("w", Tensor({n}));
+    fill(whole);
+    auto whole_opt = make();
+    std::vector<std::unique_ptr<Optimizer>> owners;
+    std::vector<Param> parts;
+    for (int r = 0; r < 3; ++r) {
+      owners.push_back(make());
+      parts.emplace_back("w", Tensor({n}));
+      fill(parts.back());
+    }
+    for (int step = 0; step < 3; ++step) {
+      for (Index i = 0; i < n; ++i) {
+        whole.grad(i) = std::sin(static_cast<float>(i * (step + 3)));
+      }
+      if (adam) static_cast<Adam&>(*whole_opt).begin_step();
+      Param* ps[] = {&whole};
+      whole_opt->step(ps);
+      for (int r = 0; r < 3; ++r) {
+        Param& p = parts[static_cast<std::size_t>(r)];
+        for (Index i = 0; i < n; ++i) p.grad(i) = whole.grad(i);
+        Optimizer& opt = *owners[static_cast<std::size_t>(r)];
+        if (adam) static_cast<Adam&>(opt).begin_step();
+        const ParamRange range{&p, cuts[r], cuts[r + 1]};
+        opt.step(std::span<const ParamRange>(&range, 1));
+      }
+    }
+    for (int r = 0; r < 3; ++r) {
+      const Param& p = parts[static_cast<std::size_t>(r)];
+      const std::size_t len = cuts[r + 1] - cuts[r];
+      EXPECT_EQ(std::memcmp(p.value.data().data() + cuts[r],
+                            whole.value.data().data() + cuts[r],
+                            len * sizeof(float)),
+                0)
+          << (adam ? "adam" : "sgd") << " range " << r;
+      if (adam) {
+        const auto& opt =
+            static_cast<const Adam&>(*owners[static_cast<std::size_t>(r)]);
+        EXPECT_EQ(opt.state_bytes(), 8 * len);
+        EXPECT_EQ(opt.moment_begin(p), cuts[r]);
+      }
+    }
+  }
+}
+
+TEST(Adam, RefusesARangeItsMomentsDoNotCover) {
+  Param p("w", Tensor({8}));
+  Adam adam(Adam::Config{});
+  adam.begin_step();
+  const ParamRange first{&p, 0, 4};
+  adam.step(std::span<const ParamRange>(&first, 1));
+  const ParamRange moved{&p, 2, 6};
+  EXPECT_THROW(adam.step(std::span<const ParamRange>(&moved, 1)), Error);
+  // A slice is not a whole-parameter checkpoint.
+  std::ostringstream out;
+  Param* ps[] = {&p};
+  EXPECT_THROW(adam.save_state(out, ps), Error);
 }
 
 TEST(LearningRateSchedule, MatchesPaperFormula) {

@@ -14,6 +14,7 @@
 // just re-slicing on load.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <sstream>
 #include <vector>
@@ -420,6 +421,43 @@ TEST(ShardedTrainer, PackedRowCodecStaysBitwise) {
 TEST(ShardedTrainer, OverlappedExchangeStaysBitwise) {
   expect_sharded_matches_replicated(4, WireCodec::None, false, true,
                                     {CommBackend::SharedMem});
+}
+
+TEST(ShardedTrainer, CorruptPushSkipsTheSameStepOnEveryRank) {
+  // Gradient rows reach only their owners, so a poisoned push is seen by
+  // some ranks and not others; the overflow vote makes every rank skip
+  // the same step, and the replicas never diverge.  Every token lies in
+  // rank 0's rows [0, 12), so only rank 0 receives rank 1's push.
+  const Index vocab = 50;
+  const int gpus = 4;
+  const auto train = tiny_corpus(12, 1200, 23);
+  const auto valid = tiny_corpus(12, 300, 24);
+  for (const CommBackend backend :
+       {CommBackend::SharedMem, CommBackend::Socket}) {
+    CommWorld::Options wopt;
+    wopt.backend = backend;
+    CommWorld world(gpus, wopt);
+    TrainerOptions opt = char_options();
+    opt.shard_embedding = true;
+    opt.dynamic_loss_scale = true;
+    DistributedTrainer trainer(world, char_factory(vocab, gpus), opt);
+
+    // Step 0 runs, in order: the row pull (id and row alltoallv), one
+    // reduce-scatter per dense parameter, the id allgatherv, then the
+    // push's id alltoallv and row alltoallv — the collective poisoned.
+    const auto dense = trainer.model(0).dense_params().size();
+    FaultPlan plan;
+    plan.events.push_back({.rank = 1, .kind = FaultKind::Corrupt,
+                           .at_collective = 2 + dense + 2});
+    world.inject_faults(plan);
+
+    const EpochStats stats = trainer.run_epoch(train, valid, 0);
+    EXPECT_EQ(stats.skipped_steps, 1u);
+    EXPECT_GT(stats.steps, stats.skipped_steps);
+    EXPECT_TRUE(trainer.replicas_in_sync());
+    EXPECT_TRUE(std::isfinite(stats.train_loss));
+    EXPECT_TRUE(std::isfinite(stats.valid_loss));
+  }
 }
 
 // -- Sharded checkpoints ----------------------------------------------

@@ -163,6 +163,39 @@ TEST(Trainer, TableGradientsExistOnlyAsRows) {
   }
 }
 
+TEST(Trainer, AdamHoldsMomentsOnlyForOwnedChunks) {
+  // The owner-side dense update sizes each rank's Adam moments to the
+  // ring chunk it owns: 8 bytes (m and v) per owned element.  The
+  // replicated input table's moments stay whole on every rank.
+  const Index vocab = 30;
+  const auto train = tiny_corpus(vocab, 1200, 19);
+  for (const int gpus : {1, 3, 4}) {
+    CommWorld world(gpus);
+    TrainerOptions opt = tiny_options();
+    opt.use_adam = true;
+    opt.base_lr = 5e-3f;
+    DistributedTrainer trainer(world, tiny_char_factory(vocab), opt);
+    trainer.run_epoch(train, {}, 0);
+    for (int r = 0; r < gpus; ++r) {
+      LmModel& model = trainer.model(r);
+      std::size_t owned = 0;
+      for (const Param* p : model.dense_params()) {
+        owned += Communicator::owned_chunk(
+                     static_cast<std::size_t>(p->size()), r, gpus)
+                     .size();
+      }
+      const auto& adam = static_cast<const Adam&>(trainer.optimizer(r));
+      const Param& table = model.input_embedding_param();
+      ASSERT_TRUE(adam.has_moments(table));
+      const std::size_t table_bytes =
+          adam.moment_m(table).bytes() + adam.moment_v(table).bytes();
+      EXPECT_EQ(table_bytes, 8 * static_cast<std::size_t>(table.size()));
+      EXPECT_EQ(adam.state_bytes() - table_bytes, 8 * owned)
+          << "G=" << gpus << " rank " << r;
+    }
+  }
+}
+
 TEST(Trainer, UniqueAndDenseExchangeGiveSameTrajectory) {
   const Index vocab = 25;
   const auto train = tiny_corpus(vocab, 2500, 7);

@@ -9,7 +9,11 @@
 //  * a coded allreduce produces the same bits on the SharedMem,
 //    InProcNet, and Socket backends, and the lossless codec reproduces
 //    the raw path exactly;
-//  * ranks arming different codecs fail loudly.
+//  * a reduce-scatter leaves each owner exactly the bytes the allreduce
+//    leaves in its chunk, and the chunk allgather completes it;
+//  * ranks arming different codecs fail loudly;
+//  * every decoder of wire bytes survives adversarial input: mutated
+//    encodings either decode in bounds or throw zipflm::Error.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -293,6 +297,111 @@ TEST_P(CodedWorlds, CodedAllreduceIdenticalAcrossBackends) {
   }
 }
 
+/// Per rank: {data after reduce_scatter_sum, after allgather_chunks}.
+std::vector<std::pair<std::vector<float>, std::vector<float>>> run_halves(
+    CommBackend backend, int g, std::size_t n, WireCodec codec,
+    TrafficLedger* ledger = nullptr) {
+  CommWorld::Options opts;
+  opts.backend = backend;
+  CommWorld world(g, opts);
+  std::vector<std::pair<std::vector<float>, std::vector<float>>> results(
+      static_cast<std::size_t>(g));
+  world.run([&](Communicator& comm) {
+    std::vector<float> data(n);
+    Rng rng(900 + static_cast<std::uint64_t>(comm.rank()));
+    for (auto& v : data) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+    WireCodecScope scope(comm, codec);
+    comm.reduce_scatter_sum(std::span<float>(data));
+    auto& out = results[static_cast<std::size_t>(comm.rank())];
+    out.first = data;
+    comm.allgather_chunks(std::span<float>(data));
+    out.second = data;
+  });
+  if (ledger != nullptr) *ledger = world.total_ledger();
+  return results;
+}
+
+TEST_P(CodedWorlds, ReduceScatterThenAllgatherIsTheAllreduce) {
+  const int g = GetParam();
+  for (const std::size_t n : {std::size_t{1}, std::size_t{7},
+                              std::size_t{513}}) {
+    for (const WireCodec codec :
+         {WireCodec::None, WireCodec::Packed, WireCodec::Int8}) {
+      const auto want = run_allreduce(CommBackend::SharedMem, g, n, codec);
+      for (const CommBackend backend :
+           {CommBackend::SharedMem, CommBackend::InProcNet}) {
+        const auto got = run_halves(backend, g, n, codec);
+        for (int r = 0; r < g; ++r) {
+          const auto& w = want[static_cast<std::size_t>(r)];
+          const auto& [scattered, gathered] = got[static_cast<std::size_t>(r)];
+          const ChunkRange own = Communicator::owned_chunk(n, r, g);
+          EXPECT_EQ(std::memcmp(scattered.data() + own.begin,
+                                w.data() + own.begin,
+                                own.size() * sizeof(float)),
+                    0)
+              << wire_codec_name(codec) << " n=" << n << " rank=" << r;
+          EXPECT_TRUE(bitwise_equal(gathered, w))
+              << wire_codec_name(codec) << " n=" << n << " rank=" << r;
+        }
+      }
+    }
+  }
+}
+
+TEST(CodedCollectives, OwnedChunksTileTheBuffer) {
+  for (const int g : {1, 2, 3, 4, 8}) {
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1},
+                                std::size_t{5}, std::size_t{64},
+                                std::size_t{1001}}) {
+      std::vector<int> owner(n, -1);
+      for (int r = 0; r < g; ++r) {
+        const ChunkRange c = Communicator::owned_chunk(n, r, g);
+        ASSERT_LE(c.begin, c.end);
+        ASSERT_LE(c.end, n);
+        for (std::size_t i = c.begin; i < c.end; ++i) {
+          EXPECT_EQ(owner[i], -1) << "g=" << g << " n=" << n;
+          owner[i] = r;
+        }
+      }
+      for (const int o : owner) EXPECT_NE(o, -1) << "g=" << g << " n=" << n;
+    }
+  }
+}
+
+TEST(CodedCollectives, HalvesBookTheirOwnLedgerRows) {
+  // The shared-memory engine models the transport ring's encoded volume
+  // hop by hop, so both engines book identical codec bytes, and the two
+  // halves move exactly the raw bytes of one allreduce.
+  const int g = 4;
+  const std::size_t n = 1000;
+  for (const WireCodec codec : {WireCodec::Packed, WireCodec::Int8}) {
+    TrafficLedger shm, net;
+    run_halves(CommBackend::SharedMem, g, n, codec, &shm);
+    run_halves(CommBackend::InProcNet, g, n, codec, &net);
+    EXPECT_EQ(shm.reduce_scatter_calls, 4u);
+    EXPECT_EQ(shm.allgather_calls, 4u);
+    EXPECT_EQ(shm.allreduce_calls, 0u);
+    EXPECT_EQ(shm.max_reduce_scatter_payload_bytes, n * sizeof(float));
+    EXPECT_EQ(shm.max_allgather_payload_bytes, n / g * sizeof(float));
+    EXPECT_EQ(shm.bytes_sent, 2u * (g - 1) * n * sizeof(float));
+    EXPECT_EQ(shm.bytes_sent, net.bytes_sent);
+    const CodecSlot slot =
+        codec == WireCodec::Packed ? CodecSlot::Packed : CodecSlot::Int8;
+    EXPECT_EQ(shm.codec_slot(slot).wire_bytes,
+              net.codec_slot(slot).wire_bytes)
+        << wire_codec_name(codec);
+    EXPECT_EQ(shm.codec_slot(slot).logical_bytes,
+              (g - 1) * n * sizeof(float))
+        << "only the reduce-scatter is coded";
+    EXPECT_DOUBLE_EQ(shm.simulated_comm_seconds, net.simulated_comm_seconds);
+    const CostModel cost = CostModel::titan_x_cluster();
+    EXPECT_DOUBLE_EQ(
+        shm.simulated_comm_seconds,
+        g * cost.ring_allreduce_seconds(Topology::for_world(g),
+                                        n * sizeof(float)));
+  }
+}
+
 TEST(CodedCollectives, Int8ApproximatesRawSum) {
   const int g = 4;
   const std::size_t n = 2048;
@@ -418,6 +527,142 @@ TEST(IndexCodecExchange, LedgerBooksIndexVarintSlot) {
   // The compression evidence: INT8 moved fewer bytes than it carried.
   EXPECT_GT(slot.wire_bytes, 0u);
   EXPECT_LT(slot.wire_bytes, slot.logical_bytes);
+}
+
+// -- Adversarial bytes --------------------------------------------------
+//
+// Deterministic mutation fuzzing of the decoders that take bytes from
+// another rank: seeded from valid encodings, then bit flips, truncations
+// and lying counts.  A mutation must either decode in bounds or throw
+// zipflm::Error — never crash, hang, or allocate more than the input
+// can describe.  The suite is cheap enough to run under the sanitizer
+// tier.
+
+constexpr int kMutations = 2000;
+
+/// Flip 1-4 random bits of `bytes`.
+void flip_bits(std::vector<std::byte>& bytes, Rng& rng) {
+  const auto flips = 1 + rng.uniform_index(4);
+  for (std::uint64_t f = 0; f < flips; ++f) {
+    const auto bit = rng.uniform_index(bytes.size() * 8);
+    bytes[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
+  }
+}
+
+template <typename T>
+std::vector<T> fuzz_payload(std::size_t n, Rng& rng) {
+  std::vector<T> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    // Zero-heavy, like gradients: gives the RLE planes real runs.
+    const double x = rng.uniform_index(3) == 0 ? 0.0 : rng.normal() * 1e-2;
+    v[i] = T(static_cast<float>(x));
+  }
+  return v;
+}
+
+template <typename T>
+void fuzz_grad_decoder(WireCodec codec) {
+  Rng rng(0x5EED0000u + static_cast<std::uint64_t>(codec) * 7 + sizeof(T));
+  int rejected = 0;
+  for (int i = 0; i < kMutations; ++i) {
+    const std::size_t n = 1 + rng.uniform_index(300);
+    const std::vector<T> src = fuzz_payload<T>(n, rng);
+    std::vector<std::byte> enc;
+    encode_grad_chunk(codec, std::span<const T>(src), enc);
+    std::size_t out_n = n;
+    bool must_reject = false;
+    switch (i % 3) {
+      case 0:
+        flip_bits(enc, rng);
+        break;
+      case 1:  // truncate: the decoder must notice the missing bytes
+        enc.resize(rng.uniform_index(enc.size()));
+        must_reject = true;
+        break;
+      default: {  // the element count the receiver expects lies
+        const std::size_t lies[] = {0, n - 1, n + 1, 2 * n + 17};
+        out_n = lies[rng.uniform_index(std::size(lies))];
+        // Only an INT8 payload's size pins its count exactly; a packed
+        // plane can happen to parse at another width.
+        must_reject = codec == WireCodec::Int8 && out_n != n;
+        break;
+      }
+    }
+    std::vector<T> out(out_n);
+    try {
+      decode_grad_chunk(codec, std::span<const std::byte>(enc),
+                        std::span<T>(out));
+      EXPECT_FALSE(must_reject)
+          << wire_codec_name(codec) << " mutation " << i << " decoded";
+    } catch (const Error&) {
+      ++rejected;
+    }
+  }
+  // Truncations alone are a third of the mutations.
+  EXPECT_GE(rejected, kMutations / 3) << wire_codec_name(codec);
+}
+
+TEST(DecoderFuzz, PackedFloatChunksSurviveMutation) {
+  fuzz_grad_decoder<float>(WireCodec::Packed);
+}
+TEST(DecoderFuzz, PackedHalfChunksSurviveMutation) {
+  fuzz_grad_decoder<Half>(WireCodec::Packed);
+}
+TEST(DecoderFuzz, Int8FloatChunksSurviveMutation) {
+  fuzz_grad_decoder<float>(WireCodec::Int8);
+}
+TEST(DecoderFuzz, Int8HalfChunksSurviveMutation) {
+  fuzz_grad_decoder<Half>(WireCodec::Int8);
+}
+
+TEST(DecoderFuzz, IndexBlocksSurviveMutation) {
+  Rng rng(0x1D5EED);
+  int rejected = 0;
+  for (int i = 0; i < kMutations; ++i) {
+    std::vector<Index> ids(1 + rng.uniform_index(200));
+    for (auto& id : ids) {
+      id = rng.uniform_index(8) == 0
+               ? static_cast<Index>(rng())  // full-width varints
+               : static_cast<Index>(rng.uniform_index(5000));
+    }
+    std::vector<std::byte> enc;
+    encode_index_block(std::span<const Index>(ids), enc);
+    bool must_reject = false;
+    switch (i % 3) {
+      case 0:
+        flip_bits(enc, rng);
+        break;
+      case 1: {  // cut inside a varint: its continuation bit dangles
+        std::size_t cut = rng.uniform_index(enc.size());
+        while (cut > 0 &&
+               (static_cast<std::uint8_t>(enc[cut - 1]) & 0x80) == 0) {
+          --cut;
+        }
+        enc.resize(cut);
+        must_reject = cut > 0;
+        break;
+      }
+      default: {  // a varint that lies about its length: 11 continuation
+                  // bytes, past the 64-bit limit
+        const auto at = rng.uniform_index(enc.size() + 1);
+        enc.insert(enc.begin() + static_cast<std::ptrdiff_t>(at), 11,
+                   std::byte{0xFF});
+        must_reject = true;
+        break;
+      }
+    }
+    std::vector<Index> out;
+    try {
+      decode_index_block(std::span<const std::byte>(enc), out);
+      EXPECT_FALSE(must_reject) << "mutation " << i << " decoded";
+      // Every id takes at least one byte, so the output is bounded by
+      // the input — no lying count can inflate it.
+      EXPECT_LE(out.size(), enc.size());
+    } catch (const Error&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GE(rejected, kMutations / 3);
 }
 
 }  // namespace
