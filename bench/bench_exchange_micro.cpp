@@ -1,9 +1,9 @@
 // Microbenchmark (Fig 4 ablation): wall-clock cost and wire volume of
 // DenseExchange vs UniqueExchange over the thread-backed collectives,
 // swept over world size, tokens per rank and embedding dimension.
-// Also prices the wire codecs: raw encode+decode throughput per codec
+// Also prices the Int8 wire codec: raw encode+decode throughput
 // (ns/elem) and the end-to-end UNIQUE exchange under each gradient wire
-// format (FP32, FP16, Packed, Int8), reporting logical vs on-wire bytes.
+// format (FP32, FP16, Int8), reporting logical vs on-wire bytes.
 // google-benchmark binary: run with --benchmark_filter=... as usual.
 #include <benchmark/benchmark.h>
 
@@ -87,8 +87,8 @@ BENCHMARK(BM_UniqueExchange)->Apply(sweep)->UseRealTime();
 //
 // One encode + one decode per iteration over a gradient-like payload;
 // `ns_per_elem` is the combined conversion cost a codec must amortize
-// against the wire bytes it saves.  `sparsity` is
-// the fraction of exact zeros (packed RLE feeds on them).
+// against the wire bytes it saves.  `sparsity` is the fraction of exact
+// zeros.
 
 void run_codec_roundtrip(benchmark::State& state, WireCodec codec) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
@@ -119,39 +119,8 @@ void run_codec_roundtrip(benchmark::State& state, WireCodec codec) {
       benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 
-void BM_PackedRoundTrip(benchmark::State& state) {
-  run_codec_roundtrip(state, WireCodec::Packed);
-}
 void BM_Int8RoundTrip(benchmark::State& state) {
   run_codec_roundtrip(state, WireCodec::Int8);
-}
-
-void BM_IndexVarintRoundTrip(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  // The production payload: sorted unique ids with Zipf-sized gaps.
-  ZipfSampler sampler(1 << 20, 1.5625);
-  Rng rng(11);
-  std::vector<Index> ids(n);
-  for (auto& id : ids) id = static_cast<Index>(sampler.sample(rng) - 1);
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-
-  std::vector<std::byte> enc;
-  std::vector<Index> out;
-  for (auto _ : state) {
-    encode_index_block(std::span<const Index>(ids), enc);
-    decode_index_block(std::span<const std::byte>(enc), out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  const double iters = static_cast<double>(state.iterations());
-  state.counters["wire_bytes"] = static_cast<double>(enc.size());
-  state.counters["logical_bytes"] =
-      static_cast<double>(ids.size() * sizeof(Index));
-  state.counters["ratio"] = static_cast<double>(enc.size()) /
-                            static_cast<double>(ids.size() * sizeof(Index));
-  state.counters["ns_per_elem"] = benchmark::Counter(
-      iters * static_cast<double>(ids.size()),
-      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 
 void codec_sweep(benchmark::internal::Benchmark* b) {
@@ -161,18 +130,14 @@ void codec_sweep(benchmark::internal::Benchmark* b) {
   b->Unit(benchmark::kMicrosecond);
 }
 
-BENCHMARK(BM_PackedRoundTrip)->Apply(codec_sweep);
 BENCHMARK(BM_Int8RoundTrip)->Apply(codec_sweep);
-BENCHMARK(BM_IndexVarintRoundTrip)
-    ->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20)
-    ->Unit(benchmark::kMicrosecond);
 
 // -- End-to-end UNIQUE exchange per wire format ----------------------
 //
 // The full strategy (id allgatherv + M-block allreduce) under each of
-// the four gradient wire formats, index codec on for the coded formats.
-// `wire_bytes_per_step` counts what actually moved: raw ledger bytes
-// minus the coded collectives' logical bytes plus their encoded bytes.
+// the three gradient wire formats.  `wire_bytes_per_step` counts what
+// actually moved: raw ledger bytes minus the coded collectives' logical
+// bytes plus their encoded bytes.
 
 void run_coded_exchange(benchmark::State& state, WirePrecision precision,
                         WireCodec codec) {
@@ -195,7 +160,6 @@ void run_coded_exchange(benchmark::State& state, WirePrecision precision,
   ExchangeOptions opts;
   opts.precision = precision;
   opts.codec = codec;
-  opts.index_codec = codec != WireCodec::None;
 
   CommWorld world(gpus);
   for (auto _ : state) {
@@ -210,15 +174,10 @@ void run_coded_exchange(benchmark::State& state, WirePrecision precision,
   }
 
   const auto total = world.total_ledger();
-  // Swap each coded gradient leg's logical bytes for its encoded bytes;
-  // the index varint leg's allgatherv already moves (and books) the
-  // encoded payload.
-  double wire = static_cast<double>(total.bytes_sent);
-  for (const CodecSlot c : {CodecSlot::Packed, CodecSlot::Int8}) {
-    const CodecTraffic& slot = total.codec_slot(c);
-    wire += static_cast<double>(slot.wire_bytes) -
-            static_cast<double>(slot.logical_bytes);
-  }
+  // Swap the coded gradient legs' logical bytes for their encoded bytes.
+  const double wire = static_cast<double>(total.bytes_sent) +
+                      static_cast<double>(total.codec.wire_bytes) -
+                      static_cast<double>(total.codec.logical_bytes);
   const double iters = static_cast<double>(state.iterations());
   state.counters["wire_bytes_per_step"] = benchmark::Counter(wire / iters);
   state.counters["logical_bytes_per_step"] =
@@ -231,9 +190,6 @@ void BM_UniqueExchangeFp32(benchmark::State& state) {
 void BM_UniqueExchangeFp16(benchmark::State& state) {
   run_coded_exchange(state, WirePrecision::FP16, WireCodec::None);
 }
-void BM_UniqueExchangePacked(benchmark::State& state) {
-  run_coded_exchange(state, WirePrecision::FP32, WireCodec::Packed);
-}
 void BM_UniqueExchangeInt8(benchmark::State& state) {
   run_coded_exchange(state, WirePrecision::FP32, WireCodec::Int8);
 }
@@ -245,7 +201,6 @@ void format_sweep(benchmark::internal::Benchmark* b) {
 
 BENCHMARK(BM_UniqueExchangeFp32)->Apply(format_sweep)->UseRealTime();
 BENCHMARK(BM_UniqueExchangeFp16)->Apply(format_sweep)->UseRealTime();
-BENCHMARK(BM_UniqueExchangePacked)->Apply(format_sweep)->UseRealTime();
 BENCHMARK(BM_UniqueExchangeInt8)->Apply(format_sweep)->UseRealTime();
 
 }  // namespace

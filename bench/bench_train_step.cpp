@@ -32,10 +32,9 @@
 //                      as the multi-process equivalence gate (exit 1 on
 //                      any divergence).
 //
-// --codec raw|packed|int8 arms the gradient wire codec (and the varint
-// index codec for the non-raw settings).  packed is lossless, so the
-// socket world must stay bitwise equal to the thread reference; int8 is
-// deterministic across engines, so the gate holds for it too.  The
+// --codec raw|int8 arms the gradient wire codec.  int8 is deterministic
+// across engines, so the socket world must stay bitwise equal to the
+// thread reference under it too.  The
 // RESULT record carries the codec and the bytes that actually crossed
 // the wire (socket: measured from the transports; thread: the ledger's
 // modelled wire volume).
@@ -48,7 +47,7 @@
 // be bitwise equal to it (exit 1 otherwise), on top of the usual
 // socket-vs-thread gate.  FP32 wire is forced (the sharded fold is only
 // bitwise-equal to the replicated ring under lossless payloads), and
-// int8 is rejected for the same reason; packed stays legal.
+// int8 is rejected for the same reason.
 //
 // Emits one line of JSON (prefixed "RESULT ") so harnesses can scrape a
 // single machine-readable record; record the trajectory in
@@ -277,18 +276,11 @@ std::vector<RankReport> run_thread_world(const BenchConfig& bc,
   });
   if (wire_model_out != nullptr) {
     // The shared-memory backend moves no real bytes; model the wire
-    // volume as the ledger's logical traffic with each coded gradient
-    // leg's logical bytes swapped for its encoded bytes.  (The index
-    // varint leg needs no swap: its allgatherv already moves — and
-    // books — the encoded payload.)
+    // volume as the ledger's logical traffic with the coded gradient
+    // legs' logical bytes swapped for their encoded bytes.
     const auto total = world.total_ledger();
-    std::uint64_t wire = total.bytes_sent;
-    for (const CodecSlot slot : {CodecSlot::Packed, CodecSlot::Int8}) {
-      const CodecTraffic& t = total.codec_slot(slot);
-      wire = wire >= t.logical_bytes ? wire - t.logical_bytes : 0;
-      wire += t.wire_bytes;
-    }
-    *wire_model_out = wire;
+    *wire_model_out =
+        total.bytes_sent - total.codec.logical_bytes + total.codec.wire_bytes;
   }
   return reports;
 }
@@ -503,14 +495,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--transport must be 'thread' or 'socket'\n");
     return 2;
   }
-  if (codec != "raw" && codec != "packed" && codec != "int8") {
-    std::fprintf(stderr, "--codec must be 'raw', 'packed' or 'int8'\n");
+  if (codec != "raw" && codec != "int8") {
+    std::fprintf(stderr, "--codec must be 'raw' or 'int8'\n");
     return 2;
   }
   if (bc.options.shard_embedding && codec == "int8") {
     std::fprintf(stderr,
                  "--shard-embedding keeps row payloads lossless; int8 would "
-                 "diverge from the replicated oracle (use raw or packed)\n");
+                 "diverge from the replicated oracle (use raw)\n");
     return 2;
   }
   if (bc.options.shard_embedding && fp16_wire) {
@@ -528,11 +520,7 @@ int main(int argc, char** argv) {
       positional.size() > 2 ? static_cast<std::size_t>(std::atoi(positional[2]))
                             : 3;
   bc.options.wire = fp16_wire ? WirePrecision::FP16 : WirePrecision::FP32;
-  if (codec != "raw") {
-    bc.options.wire_codec =
-        codec == "packed" ? WireCodec::Packed : WireCodec::Int8;
-    bc.options.index_codec = true;
-  }
+  if (codec == "int8") bc.options.wire_codec = WireCodec::Int8;
 
   bench::print_header(
       "Training-step throughput, seed CharLm",

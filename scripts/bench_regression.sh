@@ -8,9 +8,9 @@
 # With no same-host record it prints "no same-host baseline" and skips
 # the tokens/s gate: a number from another machine is no baseline.
 #
-# Also gates the wire codecs: two extra socket-transport legs (packed,
-# int8) must each move strictly fewer wire bytes than the raw leg at
-# bitwise-identical losses/weights (bench_train_step exits nonzero on
+# Also gates the wire codec: an extra socket-transport leg (int8) must
+# move strictly fewer wire bytes than the raw leg, each leg bitwise
+# equal to its thread reference (bench_train_step exits nonzero on
 # divergence).  Wire bytes are deterministic per config, so the gate
 # runs a reduced workload; ZIPFLM_WIRE_GATE=0 skips it.
 #
@@ -125,15 +125,13 @@ if [[ "${ZIPFLM_WIRE_GATE:-1}" != "0" ]]; then
   }
   echo "wire gate: bench_train_step $gate_args --transport socket"
   raw_bytes=$(wire_bytes_for raw)
-  for codec in packed int8; do
-    coded_bytes=$(wire_bytes_for "$codec")
-    if (( coded_bytes >= raw_bytes )); then
-      echo "WIRE REGRESSION: --codec $codec moved $coded_bytes bytes," \
-           ">= raw's $raw_bytes" >&2
-      exit 1
-    fi
-    echo "wire OK: --codec $codec moved $coded_bytes bytes < raw's $raw_bytes"
-  done
+  int8_bytes=$(wire_bytes_for int8)
+  if (( int8_bytes >= raw_bytes )); then
+    echo "WIRE REGRESSION: --codec int8 moved $int8_bytes bytes," \
+         ">= raw's $raw_bytes" >&2
+    exit 1
+  fi
+  echo "wire OK: --codec int8 moved $int8_bytes bytes < raw's $raw_bytes"
 fi
 
 # -- Serving soak smoke ----------------------------------------------

@@ -116,8 +116,8 @@ tier_net() {
   # replicated oracle, InProcNet and Socket legs included), and
   # launch_selftest (zipflm_launch forking 4 OS processes).
   ctest --test-dir build --output-on-failure -L net
-  # The wire-codec suite (varint/packed/int8 round trips, coded
-  # collective parity across backends, codec-mismatch detection).
+  # The wire-codec suite (int8 round trips, coded collective parity
+  # across backends, codec-mismatch detection).
   ctest --test-dir build --output-on-failure -L codec
   # The subsystem's acceptance gate: 4 forked processes training over
   # UNIX-socket ring allreduce must land bitwise on the thread backend's

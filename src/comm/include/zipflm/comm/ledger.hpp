@@ -10,25 +10,18 @@
 // holding a CommWorld.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 
 namespace zipflm {
 
-/// One accounting slot per wire codec (see comm/wire_codec.hpp).  The
-/// index slot covers the varint+delta id allgatherv; Packed/Int8 cover
-/// the gradient-hop codecs.
-enum class CodecSlot : std::uint8_t { IndexVarint = 0, Packed = 1, Int8 = 2 };
-inline constexpr std::size_t kCodecSlotCount = 3;
-const char* codec_slot_name(CodecSlot slot) noexcept;
-
-/// Logical-vs-wire volume through one codec, as observed by this rank:
-/// logical is what the payload would have occupied uncoded (at its
-/// staged element width), wire is the encoded bytes that replaced it
-/// (size prefixes included).  For allgatherv the gathered totals are
-/// booked; for allreduce the bytes this rank sent.
+/// Logical-vs-wire volume through the Int8 gradient codec (see
+/// comm/wire_codec.hpp), as observed by this rank: logical is what the
+/// payload would have occupied uncoded (at its staged element width),
+/// wire is the encoded bytes that replaced it.  For a ring collective
+/// the bytes this rank sent; for a sharded row push the bytes it
+/// received.
 struct CodecTraffic {
   std::uint64_t logical_bytes = 0;
   std::uint64_t wire_bytes = 0;
@@ -70,18 +63,11 @@ struct TrafficLedger {
   std::uint64_t wire_bytes_sent = 0;
   std::uint64_t wire_bytes_received = 0;
   double real_comm_seconds = 0.0;
-  /// Per-codec logical-vs-wire volume, indexed by CodecSlot.  Unlike
-  /// wire_bytes_sent these are also maintained under the shared-memory
-  /// backend (modelled from the encoded sizes the transport ring would
-  /// have moved), so codec benchmarks report bytes-on-wire everywhere.
-  std::array<CodecTraffic, kCodecSlotCount> codec{};
-
-  CodecTraffic& codec_slot(CodecSlot s) {
-    return codec[static_cast<std::size_t>(s)];
-  }
-  const CodecTraffic& codec_slot(CodecSlot s) const {
-    return codec[static_cast<std::size_t>(s)];
-  }
+  /// Int8 logical-vs-wire volume.  Unlike wire_bytes_sent it is also
+  /// maintained under the shared-memory backend (modelled from the
+  /// encoded sizes the transport ring would have moved), so codec
+  /// benchmarks report bytes-on-wire everywhere.
+  CodecTraffic codec;
 
   void reset() { *this = TrafficLedger{}; }
 
@@ -120,10 +106,8 @@ struct TrafficLedger {
     wire_bytes_sent += o.wire_bytes_sent;
     wire_bytes_received += o.wire_bytes_received;
     real_comm_seconds += o.real_comm_seconds;
-    for (std::size_t i = 0; i < kCodecSlotCount; ++i) {
-      codec[i].logical_bytes += o.codec[i].logical_bytes;
-      codec[i].wire_bytes += o.codec[i].wire_bytes;
-    }
+    codec.logical_bytes += o.codec.logical_bytes;
+    codec.wire_bytes += o.codec.wire_bytes;
     return *this;
   }
 };

@@ -161,10 +161,6 @@ class CommWorld {
     std::size_t bytes = 0;
     int root = -1;
     WireCodec codec = WireCodec::None;
-    /// Encoded size of the member's owned ring chunk, published before
-    /// the reduce-scatter's last rendezvous so a coded allreduce can
-    /// price its allgather hops.
-    std::uint64_t owned_wire_bytes = 0;
   };
 
   /// Shared state of one communicator scope (the world, one node, or the

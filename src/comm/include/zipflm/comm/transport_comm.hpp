@@ -161,9 +161,9 @@ class TransportComm final : public Communicator {
   void ring(std::span<T> data, CollOp op, const char* op_name, Red reduce,
             WireCodec codec, unsigned halves);
 
-  /// Coded ring body: hops move encoded chunks behind u32 size
-  /// prefixes; the allgather forwards the owner's encoding verbatim so
-  /// every rank decodes identical bytes.
+  /// Coded ring body: hops move encoded chunks whose size both ends
+  /// compute from the chunk length; the allgather forwards the owner's
+  /// encoding verbatim so every rank decodes identical bytes.
   template <typename T, typename Red>
   void ring_coded(std::span<T> data, Red reduce, WireCodec codec,
                   unsigned halves, std::uint64_t& moved_elems,

@@ -1,33 +1,22 @@
 #pragma once
 
-// Wire codecs for collective payloads.
+// Wire codec for gradient payloads.
 //
-// The paper stops compression-scaling at FP16; the Zipfian repetition
-// it observes in the index traffic (and the low entropy of gradient
-// exponent bytes) makes collective payloads compressible well past
-// that.  Two payload families get codecs:
-//
-//  * Index blocks (the sorted unique-id allgatherv): delta + zigzag +
-//    LEB128 varint.  Lossless, order-preserving, rank-deterministic.
-//
-//  * Gradient chunks (one ring-allreduce hop): either lossless
-//    byte-plane packing — element bytes are transposed into per-byte
-//    planes so the near-constant exponent/zero planes become long runs,
-//    then each plane independently picks the smaller of {raw, RLE} —
-//    or lossy INT8 quantization with one FP32 scale per chunk
-//    (scale = max|x| / 127, round-to-nearest-even).
+// The paper stops compression-scaling at FP16.  One codec goes further:
+// lossy INT8 quantization of each ring-allreduce chunk with one FP32
+// scale per chunk (scale = max|x| / 127, round-to-nearest-even).  An
+// n-element chunk always encodes to exactly 4 + n bytes, so both ends
+// of a ring hop know its size without exchanging it.
 //
 // Determinism rules (see DESIGN.md):
-//  * every encoder is a pure function of the input bytes — identical
+//  * the encoder is a pure function of the input bytes — identical
 //    chunks encode to identical bytes on every rank, every backend,
-//    and every SIMD dispatch (the pack/quantize kernels are bitwise
+//    and every SIMD dispatch (the quantize kernels are bitwise
 //    identical to their scalar fallbacks);
-//  * Packed and the index codec are bit-exact round trips, including
-//    NaN payloads and subnormals;
-//  * INT8 is lossy but deterministic: decode(encode(x)) depends only
-//    on x.  A chunk containing any non-finite value encodes as
-//    scale = NaN with zero quants and decodes to all-NaN, preserving
-//    the lockstep overflow-skip behaviour of fault-injected runs.
+//  * decode(encode(x)) depends only on x.  A chunk containing any
+//    non-finite value encodes as scale = NaN with zero quants and
+//    decodes to all-NaN, preserving the lockstep overflow-skip
+//    behaviour of fault-injected runs.
 
 #include <cstddef>
 #include <cstdint>
@@ -45,32 +34,21 @@ namespace zipflm {
 /// slot, the transport engine in the wire header — mismatched ranks
 /// fault loudly instead of decoding garbage.
 enum class WireCodec : std::uint8_t {
-  None = 0,    ///< raw element bytes (FP32 or FP16 as staged)
-  Packed = 1,  ///< lossless byte-plane + per-plane best-of {raw, RLE}
-  Int8 = 2,    ///< lossy INT8 with per-chunk FP32 scale
+  None = 0,  ///< raw element bytes (FP32 or FP16 as staged)
+  Int8 = 1,  ///< lossy INT8 with per-chunk FP32 scale
 };
 
 const char* wire_codec_name(WireCodec codec) noexcept;
 
 // ---------------------------------------------------------------------------
-// Index codec
-// ---------------------------------------------------------------------------
-
-/// Encodes an id block as zigzag(delta) LEB128 varints (delta against
-/// the previous id, starting from 0).  Sorted Zipf-repeated ids yield
-/// mostly 1-byte deltas; arbitrary (unsorted, duplicate, extreme)
-/// blocks still round-trip exactly.  `out` is replaced.
-void encode_index_block(std::span<const Index> ids,
-                        std::vector<std::byte>& out);
-
-/// Decodes one encoded block, appending the ids to `out`.  Throws
-/// Error on truncated or malformed input.
-void decode_index_block(std::span<const std::byte> in,
-                        std::vector<Index>& out);
-
-// ---------------------------------------------------------------------------
 // Gradient chunk codec
 // ---------------------------------------------------------------------------
+
+/// Bytes an n-element chunk encodes to: the FP32 scale, then one quant
+/// per element.
+constexpr std::size_t encoded_chunk_bytes(std::size_t n) noexcept {
+  return 4 + n;
+}
 
 /// Encodes one gradient chunk with `codec` (must not be None).  `out`
 /// is replaced; the encoding is a pure function of the input bytes.
@@ -80,9 +58,8 @@ void encode_grad_chunk(WireCodec codec, std::span<const Half> data,
                        std::vector<std::byte>& out);
 
 /// Decodes one encoded chunk into `out` (whose size fixes the element
-/// count).  Packed restores the input bit-exactly; Int8 yields
-/// q * scale (Half: rounded to nearest even).  Throws Error when the
-/// encoded bytes do not match `out.size()` elements.
+/// count): q * scale (Half: rounded to nearest even).  Throws Error
+/// when the encoded bytes do not match `out.size()` elements.
 void decode_grad_chunk(WireCodec codec, std::span<const std::byte> in,
                        std::span<float> out);
 void decode_grad_chunk(WireCodec codec, std::span<const std::byte> in,
@@ -92,11 +69,10 @@ void decode_grad_chunk(WireCodec codec, std::span<const std::byte> in,
 // Accounting
 // ---------------------------------------------------------------------------
 
-/// Books one coded payload into the per-codec ledger slot and mirrors
-/// it into the global obs counters, updating the
-/// "comm/compression_ratio" gauge (logical / wire of this payload).
-void record_codec_traffic(TrafficLedger& ledger, CodecSlot slot,
-                          std::uint64_t logical_bytes,
+/// Books one coded payload into the ledger's codec row and mirrors it
+/// into the global obs counters, updating the "comm/compression_ratio"
+/// gauge (logical / wire of this payload).
+void record_codec_traffic(TrafficLedger& ledger, std::uint64_t logical_bytes,
                           std::uint64_t wire_bytes);
 
 }  // namespace zipflm

@@ -4,18 +4,6 @@
 
 namespace zipflm {
 
-const char* codec_slot_name(CodecSlot slot) noexcept {
-  switch (slot) {
-    case CodecSlot::IndexVarint:
-      return "index_varint";
-    case CodecSlot::Packed:
-      return "packed";
-    case CodecSlot::Int8:
-      return "int8";
-  }
-  return "unknown";
-}
-
 std::string TrafficLedger::to_json() const {
   std::ostringstream out;
   out.precision(17);
@@ -37,16 +25,10 @@ std::string TrafficLedger::to_json() const {
       << ",\"simulated_comm_seconds\":" << simulated_comm_seconds
       << ",\"wire_bytes_sent\":" << wire_bytes_sent
       << ",\"wire_bytes_received\":" << wire_bytes_received
-      << ",\"real_comm_seconds\":" << real_comm_seconds << ",\"codec\":{";
-  for (std::size_t i = 0; i < kCodecSlotCount; ++i) {
-    const auto& c = codec[i];
-    if (i != 0) out << ',';
-    out << '"' << codec_slot_name(static_cast<CodecSlot>(i))
-        << "\":{\"logical_bytes\":" << c.logical_bytes
-        << ",\"wire_bytes\":" << c.wire_bytes << ",\"ratio\":" << c.ratio()
-        << '}';
-  }
-  out << "}}";
+      << ",\"real_comm_seconds\":" << real_comm_seconds
+      << ",\"codec\":{\"int8\":{\"logical_bytes\":" << codec.logical_bytes
+      << ",\"wire_bytes\":" << codec.wire_bytes
+      << ",\"ratio\":" << codec.ratio() << "}}}";
   return out.str();
 }
 

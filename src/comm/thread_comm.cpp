@@ -499,16 +499,16 @@ class ThreadRankComm final : public Communicator {
   /// a whole contiguous chunk: reduce(mine, left, count) must combine
   /// left's partial into mine.
   ///
-  /// With a wire codec armed the transport ring moves ENCODED chunks.
-  /// This engine has no wire, so for the lossless codec the arithmetic
-  /// is untouched (decode(encode(x)) == x by contract) and only the
-  /// accounting changes; for INT8 each receiver reproduces the
-  /// transport operand by round-tripping the left neighbour's published
-  /// partial itself (a read-only, deterministic computation), and each
-  /// owner replaces its completed chunk with decode(encode(chunk)) —
-  /// exactly the bytes a transport rank decodes from the owner's
-  /// encoding — before peers copy it.  Both engines therefore stay
-  /// bitwise identical under every codec.
+  /// With the Int8 codec armed the transport ring moves ENCODED chunks.
+  /// This engine has no wire, so each receiver reproduces the transport
+  /// operand by round-tripping the left neighbour's published partial
+  /// itself (a read-only, deterministic computation), and each owner
+  /// replaces its completed chunk with decode(encode(chunk)) — exactly
+  /// the bytes a transport rank decodes from the owner's encoding —
+  /// before peers copy it.  Both engines therefore stay bitwise
+  /// identical under every codec, and since a chunk's encoded size is
+  /// a function of its length alone, the wire volume is modelled in
+  /// closed form.
   template <typename T, typename Red>
   void ring(std::span<T> data, CommWorld::Op op, const char* op_name,
             Red reduce, WireCodec codec, unsigned halves) {
@@ -537,19 +537,18 @@ class ThreadRankComm final : public Communicator {
     if (g <= 1 || data.empty()) return;
 
     std::uint64_t moved_elems = 0;
-    // Wire-codec model of the transport ring's per-rank volume: each
-    // hop moves one encoded chunk plus a 4-byte size prefix.
+    // Codec model of the transport ring's per-rank volume: a hop moves
+    // one encoded chunk, an empty chunk nothing.
     std::uint64_t wire_model = 0;
-    const auto encoded_size = [codec](std::span<const T> chunk) {
-      if (codec == WireCodec::Int8) return std::uint64_t{4} + chunk.size();
-      thread_local std::vector<std::byte> enc;
-      encode_grad_chunk(codec, chunk, enc);
-      return static_cast<std::uint64_t>(enc.size());
+    const auto book_hop = [&](std::size_t elems) {
+      moved_elems += elems;
+      if (codec != WireCodec::None && elems != 0) {
+        wire_model += encoded_chunk_bytes(elems);
+      }
     };
     if (halves & kReduceScatter) {
       const T* left_data = reinterpret_cast<const T*>(
           group_.slots[static_cast<std::size_t>(wrap(rank_ - 1, g))].dst);
-      const bool lossy = codec == WireCodec::Int8;
       thread_local std::vector<std::byte> enc;
       thread_local std::vector<T> dec;
 
@@ -558,21 +557,13 @@ class ThreadRankComm final : public Communicator {
       // image of the encoded partial — the identical bytes the transport
       // receiver decodes, computed here from the same published chunk.
       for (int s = 0; s + 1 < g; ++s) {
-        const auto sent = chunk_range(n, g, wrap(rank_ - s, g));
         // We simultaneously "sent" our partial of chunk (rank - s) to
         // the right: it was completed by the previous step, and the
         // right neighbour only reads it.
-        moved_elems += sent.size();
-        if (codec != WireCodec::None) {
-          wire_model += 4;
-          if (sent.size() != 0) {
-            wire_model += encoded_size(
-                std::span<const T>(data.data() + sent.begin, sent.size()));
-          }
-        }
+        book_hop(chunk_range(n, g, wrap(rank_ - s, g)).size());
         const auto r = chunk_range(n, g, wrap(rank_ - s - 1, g));
         if (r.size() != 0) {
-          if (lossy) {
+          if (codec != WireCodec::None) {
             encode_grad_chunk(
                 codec, std::span<const T>(left_data + r.begin, r.size()), enc);
             dec.resize(r.size());
@@ -583,24 +574,14 @@ class ThreadRankComm final : public Communicator {
             reduce(data.data() + r.begin, left_data + r.begin, r.size());
           }
         }
-        if (s + 2 == g && codec != WireCodec::None) {
+        if (s + 2 == g && codec != WireCodec::None && r.size() != 0) {
           // Our chunk is complete and no peer has read it (the right
           // neighbour reads chunk wrap(rank - s) at step s, never ours),
           // so the owner's encoding can replace it before the barrier
           // below publishes it to the allgather.
-          std::uint64_t owned_wire = 0;
-          if (r.size() != 0) {
-            const std::span<T> owned(data.data() + r.begin, r.size());
-            if (lossy) {
-              encode_grad_chunk(codec, std::span<const T>(owned), enc);
-              decode_grad_chunk(codec, std::span<const std::byte>(enc), owned);
-              owned_wire = enc.size();
-            } else if (halves & kAllgather) {
-              owned_wire = encoded_size(owned);
-            }
-          }
-          group_.slots[static_cast<std::size_t>(rank_)].owned_wire_bytes =
-              owned_wire;
+          const std::span<T> owned(data.data() + r.begin, r.size());
+          encode_grad_chunk(codec, std::span<const T>(owned), enc);
+          decode_grad_chunk(codec, std::span<const std::byte>(enc), owned);
         }
         group_.barrier.arrive_and_wait();
       }
@@ -624,13 +605,7 @@ class ThreadRankComm final : public Communicator {
                       r.size() * sizeof(T));
         }
         // The forwarded chunk of hop s is wrap(rank + 1 - s).
-        const int fwd = wrap(rank_ + 1 - s, g);
-        moved_elems += chunk_range(n, g, fwd).size();
-        if (codec != WireCodec::None) {
-          wire_model +=
-              4 + group_.slots[static_cast<std::size_t>(wrap(fwd - 1, g))]
-                      .owned_wire_bytes;
-        }
+        book_hop(chunk_range(n, g, wrap(rank_ + 1 - s, g)).size());
       }
       group_.barrier.arrive_and_wait();
     }
@@ -639,10 +614,7 @@ class ThreadRankComm final : public Communicator {
                   book_ring_traffic(led, w_.cost_, group_.topo, halves,
                                     payload, moved_elems * sizeof(T)));
     if (codec != WireCodec::None) {
-      record_codec_traffic(led,
-                           codec == WireCodec::Packed ? CodecSlot::Packed
-                                                      : CodecSlot::Int8,
-                           moved_elems * sizeof(T), wire_model);
+      record_codec_traffic(led, moved_elems * sizeof(T), wire_model);
     }
   }
 

@@ -200,31 +200,24 @@ void TransportComm::ring_coded(std::span<T> data, Red reduce, WireCodec codec,
   std::vector<T> scratch(chunk_range(n, g, 0).size());
   std::vector<std::byte> enc_send, enc_recv, enc_fwd;
 
-  // One ring hop of encoded bytes: a u32 size exchange followed by the
-  // variably-sized payload (chunk encodings differ in length between
-  // neighbours).  Empty chunks send zero bytes, mirroring the raw path.
-  auto hop = [&](const std::vector<std::byte>& out_buf) {
-    std::uint32_t send_n = static_cast<std::uint32_t>(out_buf.size());
-    std::uint32_t recv_n = 0;
-    auto s1 = transport_.send(
-        right, std::as_bytes(std::span<const std::uint32_t>(&send_n, 1)));
-    auto r1 = transport_.recv(
-        left, std::as_writable_bytes(std::span<std::uint32_t>(&recv_n, 1)));
-    r1.wait();
-    s1.wait();
-    enc_recv.resize(recv_n);
-    auto s2 = transport_.send(right, std::span<const std::byte>(out_buf));
-    auto r2 = transport_.recv(left, std::span<std::byte>(enc_recv));
-    r2.wait();
-    s2.wait();
-    enc_wire += sizeof(std::uint32_t) + out_buf.size();
+  // One ring hop of encoded bytes: every chunk encodes to
+  // encoded_chunk_bytes(its length), so the receiver sizes its buffer
+  // from the chunk schedule and a hop is one send and one receive.
+  // Empty chunks move zero bytes, mirroring the raw path.
+  auto hop = [&](const std::vector<std::byte>& out_buf,
+                 std::size_t recv_elems) {
+    enc_recv.resize(recv_elems == 0 ? 0 : encoded_chunk_bytes(recv_elems));
+    auto sent = transport_.send(right, std::span<const std::byte>(out_buf));
+    auto got = transport_.recv(left, std::span<std::byte>(enc_recv));
+    got.wait();
+    sent.wait();
+    enc_wire += out_buf.size();
   };
 
   // Reduce-scatter over encoded partials.  The operand the reducer sees
-  // is decode(encode(left partial)) — for a lossless codec that is the
-  // partial itself (identical arithmetic to the raw path); for INT8 the
-  // shared-memory engine performs the same round-trip on the published
-  // values, keeping the addition trees bitwise equal.
+  // is decode(encode(left partial)); the shared-memory engine performs
+  // the same round trip on the published values, keeping the addition
+  // trees bitwise equal.
   for (int s = 0; s + 1 < g; ++s) {
     const auto sr = chunk_range(n, g, wrap(rank() - s, g));
     const auto rr = chunk_range(n, g, wrap(rank() - s - 1, g));
@@ -235,7 +228,7 @@ void TransportComm::ring_coded(std::span<T> data, Red reduce, WireCodec codec,
     } else {
       enc_send.clear();
     }
-    hop(enc_send);
+    hop(enc_send, rr.size());
     if (rr.size() != 0) {
       decode_grad_chunk(codec, std::span<const std::byte>(enc_recv),
                         std::span<T>(scratch.data(), rr.size()));
@@ -244,19 +237,15 @@ void TransportComm::ring_coded(std::span<T> data, Red reduce, WireCodec codec,
     moved_elems += sr.size();
   }
 
-  // The owner encodes its completed chunk exactly once.  For a lossy
-  // codec it also replaces its own copy with the decode of that
-  // encoding, so the owner — and, after the allgather, every rank —
-  // ends at decode(encode(final)).
-  const bool lossy = codec == WireCodec::Int8;
+  // The owner encodes its completed chunk exactly once and replaces its
+  // own copy with the decode of that encoding, so the owner — and,
+  // after the allgather, every rank — ends at decode(encode(final)).
   const auto own = chunk_range(n, g, wrap(rank() + 1, g));
   enc_send.clear();
-  if (own.size() != 0 && (lossy || (halves & kAllgather) != 0)) {
+  if (own.size() != 0) {
     const std::span<T> owned(data.data() + own.begin, own.size());
     encode_grad_chunk(codec, std::span<const T>(owned), enc_send);
-    if (lossy) {
-      decode_grad_chunk(codec, std::span<const std::byte>(enc_send), owned);
-    }
+    decode_grad_chunk(codec, std::span<const std::byte>(enc_send), owned);
   }
   if ((halves & kAllgather) == 0) return;
 
@@ -265,7 +254,7 @@ void TransportComm::ring_coded(std::span<T> data, Red reduce, WireCodec codec,
   for (int s = 0; s + 1 < g; ++s) {
     const auto sr = chunk_range(n, g, wrap(rank() + 1 - s, g));
     const auto rr = chunk_range(n, g, wrap(rank() - s, g));
-    hop(s == 0 ? enc_send : enc_fwd);
+    hop(s == 0 ? enc_send : enc_fwd, rr.size());
     if (rr.size() != 0) {
       decode_grad_chunk(codec, std::span<const std::byte>(enc_recv),
                         std::span<T>(data.data() + rr.begin, rr.size()));
@@ -298,10 +287,7 @@ void TransportComm::ring(std::span<T> data, CollOp op, const char* op_name,
     if (codec != WireCodec::None) {
       std::uint64_t enc_wire = 0;
       ring_coded<T, Red>(data, reduce, codec, halves, moved_elems, enc_wire);
-      record_codec_traffic(led,
-                           codec == WireCodec::Packed ? CodecSlot::Packed
-                                                      : CodecSlot::Int8,
-                           moved_elems * sizeof(T), enc_wire);
+      record_codec_traffic(led, moved_elems * sizeof(T), enc_wire);
       // The span carries the measured encoded volume so a merged trace
       // can show compression ratios without the ledger.
       span.set_arg3("wire_bytes", static_cast<double>(enc_wire));
@@ -354,7 +340,7 @@ void TransportComm::ring(std::span<T> data, CollOp op, const char* op_name,
     // Logical payload accounting stays in raw-element terms for every
     // codec (the closed-form ledger identities hold codec-on or off);
     // the measured encoded volume lands in wire_bytes_* via WireScope
-    // and in the per-codec ledger slots above.
+    // and in the ledger's codec row above.
     span.set_arg2("sim_seconds",
                   book_ring_traffic(led, *hooks_.cost, topo_, halves, payload,
                                     moved_elems * sizeof(T)));

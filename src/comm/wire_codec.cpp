@@ -6,160 +6,17 @@
 
 #include "comm_internal.hpp"
 #include "zipflm/support/error.hpp"
-#include "zipflm/tensor/pack.hpp"
+#include "zipflm/tensor/cast.hpp"
 #include "zipflm/tensor/simd.hpp"
 
 namespace zipflm {
 namespace {
 
-// ---------------------------------------------------------------------------
-// Varints
-// ---------------------------------------------------------------------------
-
-inline std::uint64_t zigzag(Index v) noexcept {
-  return (static_cast<std::uint64_t>(v) << 1) ^
-         static_cast<std::uint64_t>(v >> 63);
-}
-
-inline Index unzigzag(std::uint64_t z) noexcept {
-  return static_cast<Index>((z >> 1) ^ (~(z & 1) + 1));
-}
-
-inline void put_uvarint(std::uint64_t v, std::vector<std::byte>& out) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<std::byte>((v & 0x7F) | 0x80));
-    v >>= 7;
-  }
-  out.push_back(static_cast<std::byte>(v));
-}
-
-inline std::uint64_t get_uvarint(std::span<const std::byte> in,
-                                 std::size_t& pos) {
-  std::uint64_t v = 0;
-  for (unsigned shift = 0; shift < 64; shift += 7) {
-    ZIPFLM_CHECK(pos < in.size(), "wire codec: truncated varint");
-    const auto b = static_cast<std::uint8_t>(in[pos++]);
-    v |= static_cast<std::uint64_t>(b & 0x7F) << shift;
-    if ((b & 0x80) == 0) return v;
-  }
-  throw Error("wire codec: varint longer than 64 bits");
-}
-
-// ---------------------------------------------------------------------------
-// Byte planes
-// ---------------------------------------------------------------------------
-
-// One plane is [u8 mode][payload]: mode 0 = n raw bytes, mode 1 = RLE
-// pairs (u8 run 1..255, u8 value) until n bytes are produced.  The
-// encoder picks whichever is smaller, so a plane never expands by more
-// than its mode byte.
-
-std::size_t rle_size(const std::byte* p, std::size_t n) {
-  std::size_t size = 0;
-  std::size_t i = 0;
-  while (i < n) {
-    std::size_t run = 1;
-    while (i + run < n && p[i + run] == p[i] && run < 255) ++run;
-    size += 2;
-    i += run;
-  }
-  return size;
-}
-
-void encode_plane(const std::byte* p, std::size_t n,
-                  std::vector<std::byte>& out) {
-  if (n > 0 && rle_size(p, n) < n) {
-    out.push_back(std::byte{1});
-    std::size_t i = 0;
-    while (i < n) {
-      std::size_t run = 1;
-      while (i + run < n && p[i + run] == p[i] && run < 255) ++run;
-      out.push_back(static_cast<std::byte>(run));
-      out.push_back(p[i]);
-      i += run;
-    }
-  } else {
-    out.push_back(std::byte{0});
-    out.insert(out.end(), p, p + n);
-  }
-}
-
-void decode_plane(std::span<const std::byte> in, std::size_t& pos,
-                  std::byte* p, std::size_t n) {
-  ZIPFLM_CHECK(pos < in.size(), "wire codec: truncated plane header");
-  const auto mode = static_cast<std::uint8_t>(in[pos++]);
-  if (mode == 0) {
-    ZIPFLM_CHECK(pos + n <= in.size(), "wire codec: truncated raw plane");
-    if (n > 0) {
-      std::memcpy(p, in.data() + pos, n);
-    }
-    pos += n;
-    return;
-  }
-  ZIPFLM_CHECK(mode == 1, "wire codec: unknown plane mode");
-  std::size_t produced = 0;
-  while (produced < n) {
-    ZIPFLM_CHECK(pos + 2 <= in.size(), "wire codec: truncated RLE plane");
-    const auto run = static_cast<std::size_t>(
-        static_cast<std::uint8_t>(in[pos]));
-    const std::byte value = in[pos + 1];
-    pos += 2;
-    ZIPFLM_CHECK(run >= 1 && produced + run <= n,
-                 "wire codec: RLE run overflows plane");
-    std::memset(p + produced, static_cast<int>(value), run);
-    produced += run;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Packed gradient codec: [u8 width][width planes]
-// ---------------------------------------------------------------------------
-
 // Scratch reused across hops.  Collectives run one per rank thread, so
 // thread_local keeps the hot path allocation-free after warmup.
-std::vector<std::byte>& plane_scratch() {
-  thread_local std::vector<std::byte> s;
-  return s;
-}
-
 std::vector<float>& float_scratch() {
   thread_local std::vector<float> s;
   return s;
-}
-
-template <typename T>
-void encode_packed(std::span<const T> data, std::vector<std::byte>& out) {
-  constexpr std::size_t w = sizeof(T);
-  const std::size_t n = data.size();
-  auto& planes = plane_scratch();
-  planes.resize(n * w);
-  simd::byteplane_split(reinterpret_cast<const std::byte*>(data.data()), n, w,
-                        planes.data());
-  out.clear();
-  out.reserve(1 + w + n * w);
-  out.push_back(static_cast<std::byte>(w));
-  for (std::size_t p = 0; p < w; ++p) {
-    encode_plane(planes.data() + p * n, n, out);
-  }
-}
-
-template <typename T>
-void decode_packed(std::span<const std::byte> in, std::span<T> out) {
-  constexpr std::size_t w = sizeof(T);
-  const std::size_t n = out.size();
-  ZIPFLM_CHECK(!in.empty() &&
-                   static_cast<std::size_t>(
-                       static_cast<std::uint8_t>(in[0])) == w,
-               "wire codec: packed width mismatch");
-  auto& planes = plane_scratch();
-  planes.resize(n * w);
-  std::size_t pos = 1;
-  for (std::size_t p = 0; p < w; ++p) {
-    decode_plane(in, pos, planes.data() + p * n, n);
-  }
-  ZIPFLM_CHECK(pos == in.size(), "wire codec: trailing bytes after planes");
-  simd::byteplane_merge(planes.data(), n, w,
-                        reinterpret_cast<std::byte*>(out.data()));
 }
 
 // ---------------------------------------------------------------------------
@@ -190,7 +47,7 @@ bool stage_floats(std::span<const Half> data, std::vector<float>& out) {
 void encode_int8_from_floats(std::span<const float> data, bool finite,
                              std::vector<std::byte>& out) {
   const std::size_t n = data.size();
-  out.resize(4 + n);
+  out.resize(encoded_chunk_bytes(n));
   float scale = 0.0f;
   if (!finite) {
     scale = std::numeric_limits<float>::quiet_NaN();
@@ -201,13 +58,14 @@ void encode_int8_from_floats(std::span<const float> data, bool finite,
   if (!finite || scale == 0.0f) {
     std::memset(out.data() + 4, 0, n);
   } else {
-    simd::int8_quantize(data.data(), n, scale,
-                        reinterpret_cast<std::int8_t*>(out.data() + 4));
+    int8_quantize(data.data(), n, scale,
+                  reinterpret_cast<std::int8_t*>(out.data() + 4));
   }
 }
 
 float int8_scale(std::span<const std::byte> in, std::size_t n) {
-  ZIPFLM_CHECK(in.size() == 4 + n, "wire codec: int8 payload size mismatch");
+  ZIPFLM_CHECK(in.size() == encoded_chunk_bytes(n),
+               "wire codec: int8 payload size mismatch");
   float scale = 0.0f;
   std::memcpy(&scale, in.data(), 4);
   return scale;
@@ -217,16 +75,16 @@ void decode_int8(std::span<const std::byte> in, std::span<float> out) {
   const float scale = int8_scale(in, out.size());
   // q * NaN = NaN and q * 0 = 0, so the degenerate scales need no
   // special casing on decode.
-  simd::int8_dequantize(reinterpret_cast<const std::int8_t*>(in.data() + 4),
-                        out.size(), scale, out.data());
+  int8_dequantize(reinterpret_cast<const std::int8_t*>(in.data() + 4),
+                  out.size(), scale, out.data());
 }
 
 void decode_int8(std::span<const std::byte> in, std::span<Half> out) {
   const float scale = int8_scale(in, out.size());
   auto& tmp = float_scratch();
   tmp.resize(out.size());
-  simd::int8_dequantize(reinterpret_cast<const std::int8_t*>(in.data() + 4),
-                        out.size(), scale, tmp.data());
+  int8_dequantize(reinterpret_cast<const std::int8_t*>(in.data() + 4),
+                  out.size(), scale, tmp.data());
   for (std::size_t i = 0; i < out.size(); ++i) out[i] = Half(tmp[i]);
 }
 
@@ -236,106 +94,45 @@ const char* wire_codec_name(WireCodec codec) noexcept {
   switch (codec) {
     case WireCodec::None:
       return "none";
-    case WireCodec::Packed:
-      return "packed";
     case WireCodec::Int8:
       return "int8";
   }
   return "unknown";
 }
 
-void encode_index_block(std::span<const Index> ids,
-                        std::vector<std::byte>& out) {
-  out.clear();
-  out.reserve(ids.size() + ids.size() / 4);
-  // Deltas are taken modulo 2^64: two's-complement wraparound keeps the
-  // bytes identical to a signed subtraction wherever that is defined,
-  // and stays well-defined when consecutive ids span the int64 range.
-  std::uint64_t prev = 0;
-  for (const Index id : ids) {
-    const std::uint64_t u = static_cast<std::uint64_t>(id);
-    put_uvarint(zigzag(static_cast<Index>(u - prev)), out);
-    prev = u;
-  }
-}
-
-void decode_index_block(std::span<const std::byte> in,
-                        std::vector<Index>& out) {
-  std::size_t pos = 0;
-  std::uint64_t prev = 0;
-  while (pos < in.size()) {
-    prev += static_cast<std::uint64_t>(unzigzag(get_uvarint(in, pos)));
-    out.push_back(static_cast<Index>(prev));
-  }
-}
-
 void encode_grad_chunk(WireCodec codec, std::span<const float> data,
                        std::vector<std::byte>& out) {
-  switch (codec) {
-    case WireCodec::Packed:
-      encode_packed(data, out);
-      return;
-    case WireCodec::Int8:
-      encode_int8_from_floats(data, all_finite(data), out);
-      return;
-    case WireCodec::None:
-      break;
-  }
-  throw Error("wire codec: cannot encode with codec None");
+  ZIPFLM_CHECK(codec == WireCodec::Int8,
+               "wire codec: cannot encode with codec None");
+  encode_int8_from_floats(data, all_finite(data), out);
 }
 
 void encode_grad_chunk(WireCodec codec, std::span<const Half> data,
                        std::vector<std::byte>& out) {
-  switch (codec) {
-    case WireCodec::Packed:
-      encode_packed(data, out);
-      return;
-    case WireCodec::Int8: {
-      auto& tmp = float_scratch();
-      const bool finite = stage_floats(data, tmp);
-      encode_int8_from_floats(std::span<const float>(tmp), finite, out);
-      return;
-    }
-    case WireCodec::None:
-      break;
-  }
-  throw Error("wire codec: cannot encode with codec None");
+  ZIPFLM_CHECK(codec == WireCodec::Int8,
+               "wire codec: cannot encode with codec None");
+  auto& tmp = float_scratch();
+  const bool finite = stage_floats(data, tmp);
+  encode_int8_from_floats(std::span<const float>(tmp), finite, out);
 }
 
 void decode_grad_chunk(WireCodec codec, std::span<const std::byte> in,
                        std::span<float> out) {
-  switch (codec) {
-    case WireCodec::Packed:
-      decode_packed(in, out);
-      return;
-    case WireCodec::Int8:
-      decode_int8(in, out);
-      return;
-    case WireCodec::None:
-      break;
-  }
-  throw Error("wire codec: cannot decode with codec None");
+  ZIPFLM_CHECK(codec == WireCodec::Int8,
+               "wire codec: cannot decode with codec None");
+  decode_int8(in, out);
 }
 
 void decode_grad_chunk(WireCodec codec, std::span<const std::byte> in,
                        std::span<Half> out) {
-  switch (codec) {
-    case WireCodec::Packed:
-      decode_packed(in, out);
-      return;
-    case WireCodec::Int8:
-      decode_int8(in, out);
-      return;
-    case WireCodec::None:
-      break;
-  }
-  throw Error("wire codec: cannot decode with codec None");
+  ZIPFLM_CHECK(codec == WireCodec::Int8,
+               "wire codec: cannot decode with codec None");
+  decode_int8(in, out);
 }
 
-void record_codec_traffic(TrafficLedger& ledger, CodecSlot slot,
-                          std::uint64_t logical_bytes,
+void record_codec_traffic(TrafficLedger& ledger, std::uint64_t logical_bytes,
                           std::uint64_t wire_bytes) {
-  auto& c = ledger.codec_slot(slot);
+  auto& c = ledger.codec;
   c.logical_bytes += logical_bytes;
   c.wire_bytes += wire_bytes;
   auto& m = comm_internal::CommMetrics::get();

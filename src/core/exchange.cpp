@@ -31,36 +31,13 @@ std::vector<Index> sorted_unique(std::span<const Index> ids) {
   return u;
 }
 
-/// The delta+varint-coded flavor of the id allgatherv.  Runs on top of
-/// the byte collective unchanged — the collective count and schedule
-/// are identical to the raw path, so fault-injection collective indices
-/// stay put when the codec flips on; only the block sizes shrink.
-void gather_ids_coded(Communicator& comm, std::span<const Index> ids,
-                      std::vector<Index>& all_ids) {
-  std::vector<std::byte> enc;
-  encode_index_block(ids, enc);
-  std::vector<std::byte> all_enc;
-  std::vector<std::size_t> counts;
-  comm.allgatherv_bytes(std::span<const std::byte>(enc), all_enc, counts);
-  all_ids.clear();
-  std::size_t off = 0;
-  for (const std::size_t c : counts) {
-    decode_index_block(std::span<const std::byte>(all_enc.data() + off, c),
-                       all_ids);
-    off += c;
-  }
-  record_codec_traffic(comm.ledger(), CodecSlot::IndexVarint,
-                       all_ids.size() * sizeof(Index), all_enc.size());
-}
-
 }  // namespace
 
 /// The id ALLGATHER every strategy needs: consume an eagerly gathered
 /// result when armed (asserting it was built from these ids), otherwise
 /// run the collective inline.
 void gather_ids(Communicator& comm, std::span<const Index> ids,
-                const PendingIdGather* pending, std::vector<Index>& all_ids,
-                bool index_codec) {
+                const PendingIdGather* pending, std::vector<Index>& all_ids) {
   if (pending != nullptr && pending->armed) {
     ZIPFLM_ASSERT(pending->ids.size() == ids.size() &&
                       std::equal(ids.begin(), ids.end(), pending->ids.begin()),
@@ -68,28 +45,18 @@ void gather_ids(Communicator& comm, std::span<const Index> ids,
     all_ids = pending->all_ids;
     return;
   }
-  if (index_codec) {
-    gather_ids_coded(comm, ids, all_ids);
-  } else {
-    comm.allgatherv(ids, all_ids);
-  }
+  comm.allgatherv(ids, all_ids);
 }
 
 void begin_id_gather(AsyncCommEngine& engine, std::span<const Index> ids,
-                     PendingIdGather& out, bool index_codec) {
+                     PendingIdGather& out) {
   out.ids.assign(ids.begin(), ids.end());
   out.all_ids.clear();
   out.armed = true;
-  out.coded = index_codec;
   engine.submit("eager_id_allgather", out.ids.size() * sizeof(Index),
-                [&out, index_codec](Communicator& comm) {
-                  if (index_codec) {
-                    gather_ids_coded(comm, std::span<const Index>(out.ids),
-                                     out.all_ids);
-                  } else {
-                    comm.allgatherv(std::span<const Index>(out.ids),
-                                    out.all_ids);
-                  }
+                [&out](Communicator& comm) {
+                  comm.allgatherv(std::span<const Index>(out.ids),
+                                  out.all_ids);
                 });
 }
 
@@ -170,7 +137,7 @@ void DenseExchange::exchange(Communicator& comm, std::span<const Index> ids,
   // allgatherv rather than allgather: the output-embedding path hands us
   // per-rank candidate sets of (slightly) different sizes.
   std::vector<Index> all_ids;
-  gather_ids(comm, ids, pending, all_ids, options_.index_codec);
+  gather_ids(comm, ids, pending, all_ids);
 
   // Gather the gradient payload at the configured wire precision.
   Tensor all_delta({static_cast<Index>(all_ids.size()), d});
@@ -224,7 +191,7 @@ void UniqueExchange::exchange(Communicator& comm, std::span<const Index> ids,
   // With an armed PendingIdGather this already happened on the comm
   // thread, under the forward/backward compute.
   std::vector<Index> all_ids;
-  gather_ids(comm, ids, pending, all_ids, options_.index_codec);
+  gather_ids(comm, ids, pending, all_ids);
 
   // Step 4: globally consistent unique index set Î (sorted => identical
   // order on every rank).
@@ -317,7 +284,7 @@ void TableAllreduceExchange::exchange(Communicator& comm,
   // table are not proof a row was untouched — gradients can cancel):
   // gather the indices exactly as UNIQUE does.
   std::vector<Index> all_ids;
-  gather_ids(comm, ids, pending, all_ids, options_.index_codec);
+  gather_ids(comm, ids, pending, all_ids);
   out_ids = sorted_unique(all_ids);
   out_rows = Tensor({static_cast<Index>(out_ids.size()), d});
   gather_rows(table, out_ids, out_rows);

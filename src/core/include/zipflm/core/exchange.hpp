@@ -40,8 +40,6 @@ struct ExchangeOptions {
   /// Gradient wire codec armed (via WireCodecScope) around the
   /// strategy's sum-allreduces.
   WireCodec codec = WireCodec::None;
-  /// Delta+varint-code the index allgatherv (all strategies share it).
-  bool index_codec = false;
 };
 
 /// An index ALLGATHER kicked off eagerly — the token ids are known at
@@ -52,20 +50,18 @@ struct ExchangeOptions {
 /// ALLGATHER.
 struct PendingIdGather {
   bool armed = false;
-  bool coded = false;          ///< gathered through the index varint codec
   std::vector<Index> ids;      ///< this rank's contribution (owned copy)
   std::vector<Index> all_ids;  ///< gathered, rank-major — job output
 };
 
 void begin_id_gather(AsyncCommEngine& engine, std::span<const Index> ids,
-                     PendingIdGather& out, bool index_codec = false);
+                     PendingIdGather& out);
 
 /// The id ALLGATHER every strategy starts from: consume an armed
 /// PendingIdGather (asserting it was built from these ids) or run the
-/// collective inline, varint-coded when index_codec is set.
+/// collective inline.
 void gather_ids(Communicator& comm, std::span<const Index> ids,
-                const PendingIdGather* pending, std::vector<Index>& all_ids,
-                bool index_codec);
+                const PendingIdGather* pending, std::vector<Index>& all_ids);
 
 class EmbeddingExchange {
  public:

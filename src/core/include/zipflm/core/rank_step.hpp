@@ -34,13 +34,11 @@ struct TrainerOptions {
   bool unique_exchange = true;    ///< Section III-A
   WirePrecision wire = WirePrecision::FP32;  ///< Section III-C
   float compression_scale = 1024.0f;
-  /// Gradient wire codec for the sum-reductions (dense reduce-scatters
-  /// and the UNIQUE M block allreduce): Packed is lossless byte-plane+RLE (bitwise
-  /// identical results); Int8 quantizes each ring chunk with a per-chunk
-  /// FP32 scale (deterministic, epsilon-gated on accuracy).
+  /// Gradient wire codec for the sum-reductions (dense reduce-scatters,
+  /// the UNIQUE M block allreduce and sharded row pushes): Int8
+  /// quantizes each ring chunk with a per-chunk FP32 scale
+  /// (deterministic, epsilon-gated on accuracy).
   WireCodec wire_codec = WireCodec::None;
-  /// Delta+varint-code the index allgatherv legs (always lossless).
-  bool index_codec = false;
   SeedPolicy seed_policy = SeedPolicy::PerRank;  ///< Section III-B
   Index samples_per_rank = 0;     ///< S; 0 = full softmax (char LM)
 
@@ -93,7 +91,8 @@ struct TrainerOptions {
   /// shards (CharLmConfig::shard_rank/shard_world = rank/world).
   /// Replicated mode stays the default and the bitwise test oracle:
   /// sharded losses and assembled weights are `==` replicated ones.
-  /// Requires FP32 wire; Packed/index codecs apply to the row payloads.
+  /// Requires FP32 wire.  Pulled rows always move raw; an armed Int8
+  /// codec applies to the pushed gradient rows.
   bool shard_embedding = false;
 };
 

@@ -59,7 +59,7 @@ double owned_grad_sq(std::span<const ParamRange> owned) {
 }
 
 ExchangeOptions exchange_options(const TrainerOptions& o) {
-  return {o.wire, o.compression_scale, o.wire_codec, o.index_codec};
+  return {o.wire, o.compression_scale, o.wire_codec};
 }
 
 }  // namespace
@@ -193,7 +193,7 @@ RankStep::Outcome RankStep::Session::step(const Batch& batch,
   if (overlap) {
     // The token ids are known now — start the Θ(G·K) id allgather
     // under forward+backward.
-    begin_id_gather(engine_, batch.inputs, pending, rs.options_.index_codec);
+    begin_id_gather(engine_, batch.inputs, pending);
   }
   model.train_step_local(batch, candidates, res_);
   const LmStepResult& res = res_;

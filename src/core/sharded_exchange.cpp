@@ -33,23 +33,8 @@ std::vector<std::size_t> owner_offsets(const std::vector<Index>& ids,
   return off;
 }
 
-/// Chunk geometry of the engines' ring schedules (thread_comm /
-/// transport_comm split n elements into g chunks, first n%g one
-/// larger).  Kept textually in sync with comm_internal::chunk_range —
-/// the owner-side fold below reconstructs the allreduce addition tree
-/// and MUST agree on the boundaries.
-struct ChunkRange {
-  std::size_t begin;
-  std::size_t end;
-};
-
-ChunkRange chunk_range(std::size_t n, int g, std::size_t c) {
-  const std::size_t q = n / static_cast<std::size_t>(g);
-  const std::size_t rem = n % static_cast<std::size_t>(g);
-  const std::size_t begin = c * q + std::min(rem, c);
-  return {begin, begin + q + (c < rem ? 1 : 0)};
-}
-
+/// Ring chunk of element p under Communicator::ring_chunk's split of
+/// n elements into g chunks (the first n%g one larger).
 std::size_t chunk_of(std::size_t p, std::size_t n, int g) {
   const std::size_t q = n / static_cast<std::size_t>(g);
   const std::size_t rem = n % static_cast<std::size_t>(g);
@@ -57,59 +42,27 @@ std::size_t chunk_of(std::size_t p, std::size_t n, int g) {
   return rem + (p - rem * (q + 1)) / q;
 }
 
-/// Id alltoallv: each destination gets its segment of the sorted ids,
-/// varint-coded per block when index_codec is set.  recv_ids is the
-/// concatenation by source; recv_off its per-source offsets.
+/// Id alltoallv: each destination gets its segment of the sorted ids.
+/// recv_ids is the concatenation by source; recv_off its per-source
+/// offsets.
 void alltoallv_ids(Communicator& comm, const std::vector<Index>& ids,
-                   const std::vector<std::size_t>& off, bool index_codec,
+                   const std::vector<std::size_t>& off,
                    std::vector<Index>& recv_ids,
                    std::vector<std::size_t>& recv_off) {
   const int g = comm.world_size();
-  recv_off.assign(static_cast<std::size_t>(g) + 1, 0);
-  if (!index_codec) {
-    std::vector<std::size_t> counts(static_cast<std::size_t>(g));
-    for (int o = 0; o < g; ++o) {
-      counts[static_cast<std::size_t>(o)] =
-          off[static_cast<std::size_t>(o) + 1] -
-          off[static_cast<std::size_t>(o)];
-    }
-    std::vector<std::size_t> recv_counts;
-    comm.alltoallv(std::span<const Index>(ids), counts, recv_ids, recv_counts);
-    for (int s = 0; s < g; ++s) {
-      recv_off[static_cast<std::size_t>(s) + 1] =
-          recv_off[static_cast<std::size_t>(s)] +
-          recv_counts[static_cast<std::size_t>(s)];
-    }
-    return;
-  }
-  // Coded path: one varint encoding per destination block; collective
-  // count and schedule identical to the raw path, only sizes shrink.
-  std::vector<std::byte> payload, block;
   std::vector<std::size_t> counts(static_cast<std::size_t>(g));
   for (int o = 0; o < g; ++o) {
-    encode_index_block(
-        std::span<const Index>(ids.data() + off[static_cast<std::size_t>(o)],
-                               off[static_cast<std::size_t>(o) + 1] -
-                                   off[static_cast<std::size_t>(o)]),
-        block);
-    counts[static_cast<std::size_t>(o)] = block.size();
-    payload.insert(payload.end(), block.begin(), block.end());
+    counts[static_cast<std::size_t>(o)] =
+        off[static_cast<std::size_t>(o) + 1] - off[static_cast<std::size_t>(o)];
   }
-  std::vector<std::byte> enc;
-  std::vector<std::size_t> enc_counts;
-  comm.alltoallv_bytes(payload, counts, enc, enc_counts);
-  recv_ids.clear();
-  std::size_t boff = 0;
+  std::vector<std::size_t> recv_counts;
+  comm.alltoallv(std::span<const Index>(ids), counts, recv_ids, recv_counts);
+  recv_off.assign(static_cast<std::size_t>(g) + 1, 0);
   for (int s = 0; s < g; ++s) {
-    decode_index_block(
-        std::span<const std::byte>(enc.data() + boff,
-                                   enc_counts[static_cast<std::size_t>(s)]),
-        recv_ids);
-    boff += enc_counts[static_cast<std::size_t>(s)];
-    recv_off[static_cast<std::size_t>(s) + 1] = recv_ids.size();
+    recv_off[static_cast<std::size_t>(s) + 1] =
+        recv_off[static_cast<std::size_t>(s)] +
+        recv_counts[static_cast<std::size_t>(s)];
   }
-  record_codec_traffic(comm.ledger(), CodecSlot::IndexVarint,
-                       recv_ids.size() * sizeof(Index), enc.size());
 }
 
 /// Row alltoallv: per-destination float blocks (counts in rows), coded
@@ -136,9 +89,8 @@ void alltoallv_rows(Communicator& comm, const Tensor& rows,
     return;
   }
   // Coded path: each destination block encoded independently (the
-  // decode side knows its element count from the id round).  Packed is
-  // a bit-exact round trip; Int8 is the same deterministic
-  // decode(encode(x)) every backend applies.
+  // decode side knows its element count from the id round), the same
+  // deterministic decode(encode(x)) every backend applies.
   std::vector<std::byte> payload, block;
   std::vector<std::size_t> counts(static_cast<std::size_t>(g));
   for (int o = 0; o < g; ++o) {
@@ -176,10 +128,8 @@ void alltoallv_rows(Communicator& comm, const Tensor& rows,
     }
     boff += enc_counts[static_cast<std::size_t>(s)];
   }
-  record_codec_traffic(
-      comm.ledger(),
-      codec == WireCodec::Int8 ? CodecSlot::Int8 : CodecSlot::Packed,
-      recv_rows.size() * sizeof(float), enc.size());
+  record_codec_traffic(comm.ledger(), recv_rows.size() * sizeof(float),
+                       enc.size());
 }
 
 }  // namespace
@@ -207,7 +157,7 @@ void ShardedEmbeddingExchange::pull(Communicator& comm, ShardedEmbedding& emb,
   // already owner-contiguous).
   std::vector<Index> req_ids;
   std::vector<std::size_t> req_off;
-  alltoallv_ids(comm, my_ids, off, options_.index_codec, req_ids, req_off);
+  alltoallv_ids(comm, my_ids, off, req_ids, req_off);
 
   const auto dn = static_cast<std::size_t>(dim_);
   Allocation scratch;
@@ -222,15 +172,10 @@ void ShardedEmbeddingExchange::pull(Communicator& comm, ShardedEmbedding& emb,
   emb.gather_owned(req_ids, reply);
   // Reply blocks go back to the sources, so the send partition is the
   // request partition; receive counts per source mirror `off`.
+  // Pulled rows are weights and move raw whatever gradient codec is
+  // armed (Int8 rows would desync the replicas' forward pass).
   std::vector<float> pulled;
-  // Pulled rows are weights: any armed gradient codec falls back to
-  // the lossless Packed encoding here (Int8 rows would desync the
-  // replicas' forward pass).
-  const WireCodec codec = options_.codec == WireCodec::None
-                              ? WireCodec::None
-                              : WireCodec::Packed;
-  std::vector<std::size_t> my_off(off);
-  alltoallv_rows(comm, reply, req_off, dim_, codec, my_off, pulled);
+  alltoallv_rows(comm, reply, req_off, dim_, WireCodec::None, off, pulled);
   ZIPFLM_CHECK(pulled.size() == my_ids.size() * dn,
                "pulled row payload size mismatch");
 
@@ -263,7 +208,7 @@ void ShardedEmbeddingExchange::exchange(Communicator& comm,
   // chunk geometry the owner fold below replays (and it consumes the
   // AsyncCommEngine's eager gather when armed).
   std::vector<Index> all_ids;
-  gather_ids(comm, ids, pending, all_ids, options_.index_codec);
+  gather_ids(comm, ids, pending, all_ids);
   const std::vector<Index> uids = sorted_unique(all_ids);
   const std::size_t m = uids.size();
   const auto dn = static_cast<std::size_t>(d);
@@ -274,7 +219,7 @@ void ShardedEmbeddingExchange::exchange(Communicator& comm,
   const std::vector<std::size_t> loff = owner_offsets(lids, vocab_, g);
   std::vector<Index> got_ids;
   std::vector<std::size_t> got_off;
-  alltoallv_ids(comm, lids, loff, options_.index_codec, got_ids, got_off);
+  alltoallv_ids(comm, lids, loff, got_ids, got_off);
   std::vector<float> got_rows;
   alltoallv_rows(comm, lrows, loff, d, options_.codec, got_off, got_rows);
   ZIPFLM_CHECK(got_rows.size() == got_ids.size() * dn,
@@ -329,7 +274,9 @@ void ShardedEmbeddingExchange::exchange(Communicator& comm,
     const std::size_t row_end = p + dn;
     while (p < row_end) {
       const std::size_t c = chunk_of(p, n, g);
-      const std::size_t seg_end = std::min(row_end, chunk_range(n, g, c).end);
+      const std::size_t seg_end = std::min(
+          row_end,
+          Communicator::ring_chunk(n, g, static_cast<int>(c)).end);
       const std::size_t len = seg_end - p;
       const std::size_t loc = p - pos * dn;
       for (int k = 0; k < g; ++k) {

@@ -74,9 +74,9 @@ class Reader {
   }
   std::vector<Index> tokens() {
     const std::uint64_t count = u64();
-    if (count > kMaxFrameBytes / sizeof(Index)) {
+    if (count > (bytes_.size() - cursor_) / sizeof(Index)) {
       throw net::ProtocolError("serve frame token count " +
-                               std::to_string(count) + " is implausible");
+                               std::to_string(count) + " exceeds the frame");
     }
     std::vector<Index> t(static_cast<std::size_t>(count));
     if (count > 0) raw(t.data(), t.size() * sizeof(Index));

@@ -35,6 +35,50 @@ void half_accumulate_scalar(Half* mine, const Half* left, std::size_t n) {
   }
 }
 
+std::int8_t quant_one(float x, float scale) {
+  const float r = std::nearbyintf(x / scale);
+  long v = static_cast<long>(r);
+  if (v > 127) v = 127;
+  if (v < -127) v = -127;
+  return static_cast<std::int8_t>(v);
+}
+
+#if defined(ZIPFLM_SIMD_AVX2)
+
+void quant_avx2(const float* src, std::size_t n, float scale,
+                std::int8_t* dst) {
+  const __m256 vs = _mm256_set1_ps(scale);
+  const __m256i lo = _mm256_set1_epi32(-127);
+  const __m256i hi = _mm256_set1_epi32(127);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    __m256 q = _mm256_div_ps(_mm256_loadu_ps(src + i), vs);
+    q = _mm256_round_ps(q, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+    __m256i qi = _mm256_cvtps_epi32(q);
+    qi = _mm256_max_epi32(_mm256_min_epi32(qi, hi), lo);
+    const __m128i w = _mm_packs_epi32(_mm256_castsi256_si128(qi),
+                                      _mm256_extracti128_si256(qi, 1));
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(dst + i),
+                     _mm_packs_epi16(w, w));
+  }
+  for (; i < n; ++i) dst[i] = quant_one(src[i], scale);
+}
+
+void dequant_avx2(const std::int8_t* q, std::size_t n, float scale,
+                  float* dst) {
+  const __m256 vs = _mm256_set1_ps(scale);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m128i b =
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(q + i));
+    const __m256 f = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(b));
+    _mm256_storeu_ps(dst + i, _mm256_mul_ps(f, vs));
+  }
+  for (; i < n; ++i) dst[i] = static_cast<float>(q[i]) * scale;
+}
+
+#endif  // ZIPFLM_SIMD_AVX2
+
 #if defined(ZIPFLM_SIMD_AVX2) && defined(__F16C__)
 
 // Hardware F16C round-to-nearest-even matches the software converter
@@ -132,6 +176,30 @@ void half_accumulate_span(Half* mine, const Half* left, std::size_t n) {
 
 void half_accumulate(Half* mine, const Half* left, std::size_t n) {
   half_accumulate_span(mine, left, n);
+}
+
+void int8_quantize(const float* src, std::size_t n, float scale,
+                   std::int8_t* dst) {
+#if defined(ZIPFLM_SIMD_AVX2)
+  if (simd::active_backend() == simd::Backend::kNative) {
+    quant_avx2(src, n, scale, dst);
+    return;
+  }
+#endif
+  for (std::size_t i = 0; i < n; ++i) dst[i] = quant_one(src[i], scale);
+}
+
+void int8_dequantize(const std::int8_t* q, std::size_t n, float scale,
+                     float* dst) {
+#if defined(ZIPFLM_SIMD_AVX2)
+  if (simd::active_backend() == simd::Backend::kNative) {
+    dequant_avx2(q, n, scale, dst);
+    return;
+  }
+#endif
+  for (std::size_t i = 0; i < n; ++i) {
+    dst[i] = static_cast<float>(q[i]) * scale;
+  }
 }
 
 void compress_fp16(std::span<const float> src, float scale,

@@ -1,4 +1,5 @@
-// FP32 <-> FP16 buffer conversion with compression-scaling.
+// FP32 <-> FP16 buffer conversion with compression-scaling, and the
+// FP32 <-> INT8 kernels of the Int8 gradient wire codec.
 //
 // Section III-C of the paper: before down-casting a gradient tensor to
 // binary16 for the wire, multiply by a scale factor F (256/512/1024) so
@@ -7,6 +8,7 @@
 // plumbing lives in zipflm::core::CompressedComm.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -43,6 +45,21 @@ void fp16_round_trip(std::span<float> values, float scale);
 /// running partial back to binary16).  Single-threaded on purpose: it
 /// runs inside a collective, where the caller owns the threading.
 void half_accumulate(Half* mine, const Half* left, std::size_t n);
+
+/// dst[i] = clamp(nearbyint(src[i] / scale), -127, 127).
+/// Preconditions: scale is positive and finite, src is finite, and
+/// |src[i]| / scale stays well below 2^31 (the Int8 codec derives scale
+/// as max|src| / 127, which guarantees it).  Uses only exactly-rounded
+/// primitives (div, round-to-nearest-even, int conversion), so the
+/// vector path is bitwise identical to the scalar one, including under
+/// the `ZIPFLM_SIMD=scalar` override.  Single-threaded, like
+/// half_accumulate.
+void int8_quantize(const float* src, std::size_t n, float scale,
+                   std::int8_t* dst);
+
+/// dst[i] = float(q[i]) * scale (exactly-rounded multiply).
+void int8_dequantize(const std::int8_t* q, std::size_t n, float scale,
+                     float* dst);
 
 /// Statistics describing what a down-cast would do to a buffer; used by
 /// tests and by the compression-accuracy experiment.

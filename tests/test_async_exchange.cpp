@@ -250,54 +250,6 @@ TEST(OverlappedExchange, SyncAndBucketsShareOneFp16WireBuffer) {
 
 // -- Gradient wire codecs through the full trainer -------------------
 
-// The lossless packed codec (and the varint index codec) must leave the
-// training trajectory untouched: same losses as exact doubles, same
-// weights as exact bytes.
-void expect_codec_matches_raw(int gpus, WirePrecision wire) {
-  const Index vocab = 50;
-  const auto train = tiny_corpus(vocab, 2400, 11);
-  const auto valid = tiny_corpus(vocab, 400, 12);
-
-  std::vector<unsigned char> reference;
-  double ref_train = 0.0, ref_valid = 0.0;
-  for (const bool coded : {false, true}) {
-    CommWorld world(gpus);
-    TrainerOptions opt = tiny_options();
-    opt.samples_per_rank = 16;
-    opt.wire = wire;
-    if (coded) {
-      opt.wire_codec = WireCodec::Packed;
-      opt.index_codec = true;
-    }
-    DistributedTrainer trainer(world, tiny_word_factory(vocab), opt);
-
-    EpochStats last{};
-    for (int e = 0; e < 2; ++e) last = trainer.run_epoch(train, valid, e);
-    EXPECT_TRUE(trainer.replicas_in_sync());
-
-    const auto bytes = model_bytes(trainer);
-    if (!coded) {
-      reference = bytes;
-      ref_train = last.train_loss;
-      ref_valid = last.valid_loss;
-      continue;
-    }
-    EXPECT_EQ(last.train_loss, ref_train);
-    EXPECT_EQ(last.valid_loss, ref_valid);
-    ASSERT_EQ(bytes.size(), reference.size());
-    EXPECT_EQ(0, std::memcmp(bytes.data(), reference.data(), bytes.size()))
-        << "packed codec diverged from raw wire at G=" << gpus;
-  }
-}
-
-TEST(CodedTraining, PackedMatchesRawBitwiseG4Fp32) {
-  expect_codec_matches_raw(4, WirePrecision::FP32);
-}
-
-TEST(CodedTraining, PackedMatchesRawBitwiseG4Fp16) {
-  expect_codec_matches_raw(4, WirePrecision::FP16);
-}
-
 TEST(CodedTraining, Int8KeepsReplicasInSyncAndConverges) {
   // INT8 is lossy, so the contract is weaker: replicas stay bitwise
   // identical to each other (deterministic quantization), and the loss

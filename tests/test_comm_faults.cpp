@@ -4,13 +4,10 @@
 // finish; corrupted wire payloads poison every rank identically so the
 // trainer's overflow guard can skip the step in lockstep.
 //
-// The whole suite is parameterized over the CommWorld backend AND over
-// the gradient wire codec: the same guarantees must hold when the
-// collectives run over shared memory and when they run over real
-// sockets (where a dead rank is an EOF on the wire rather than a
-// barrier timeout), and FaultSpec::at_collective indices — which count
-// collective invocations, not bytes — must stay stable when a codec
-// changes every payload's size on the wire.
+// The whole suite is parameterized over the CommWorld backend: the same
+// guarantees must hold when the collectives run over shared memory and
+// when they run over real sockets (where a dead rank is an EOF on the
+// wire rather than a barrier timeout).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,7 +17,6 @@
 #include <vector>
 
 #include "zipflm/comm/thread_comm.hpp"
-#include "zipflm/comm/wire_codec.hpp"
 #include "zipflm/core/trainer.hpp"
 #include "zipflm/data/corpus.hpp"
 #include "zipflm/support/error.hpp"
@@ -28,24 +24,15 @@
 namespace zipflm {
 namespace {
 
-class CommFaults
-    : public ::testing::TestWithParam<std::tuple<CommBackend, WireCodec>> {
+class CommFaults : public ::testing::TestWithParam<CommBackend> {
  protected:
-  CommBackend backend() const { return std::get<0>(GetParam()); }
-  WireCodec codec() const { return std::get<1>(GetParam()); }
+  CommBackend backend() const { return GetParam(); }
 
   /// World options for the backend under test.
   CommWorld::Options world_options(double timeout_seconds = 0.0) const {
     CommWorld::Options opt;
     opt.backend = backend();
     opt.collective_timeout_seconds = timeout_seconds;
-    return opt;
-  }
-
-  /// Trainer options carrying the codec under test.
-  TrainerOptions trainer_options(TrainerOptions opt) const {
-    opt.wire_codec = codec();
-    opt.index_codec = codec() != WireCodec::None;
     return opt;
   }
 };
@@ -92,7 +79,6 @@ TEST_P(CommFaults, KilledRankTimesOutSurvivorsAndIsRetired) {
   std::atomic<int> survivors_timed_out{0};
   EXPECT_THROW(
       world.run([&](Communicator& comm) {
-        WireCodecScope codec_scope(comm, codec());
         std::vector<float> buf(8, 1.0f);
         try {
           for (int i = 0; i < 10; ++i) {
@@ -115,7 +101,6 @@ TEST_P(CommFaults, KilledRankTimesOutSurvivorsAndIsRetired) {
 
   // The degraded world still computes exact collectives over survivors.
   world.run([&](Communicator& comm) {
-    WireCodecScope codec_scope(comm, codec());
     EXPECT_EQ(comm.world_size(), 3);
     std::vector<float> buf(4, 1.0f);
     comm.allreduce_sum(std::span<float>(buf));
@@ -133,7 +118,6 @@ TEST_P(CommFaults, SimulatedDeathCannotBeSwallowedByErrorHandlers) {
   std::atomic<bool> swallowed{false};
   EXPECT_THROW(
       world.run([&](Communicator& comm) {
-        WireCodecScope codec_scope(comm, codec());
         std::vector<float> buf(4, 1.0f);
         if (comm.rank() == 1) {
           // A crashed process cannot be caught from inside: user-level
@@ -161,7 +145,6 @@ TEST_P(CommFaults, StragglerDelaysButCompletes) {
   world.inject_faults(plan);
 
   world.run([&](Communicator& comm) {
-    WireCodecScope codec_scope(comm, codec());
     std::vector<float> buf(4, 2.0f);
     comm.allreduce_sum(std::span<float>(buf));
     comm.allreduce_sum(std::span<float>(buf));  // rank 1 sleeps here, then arrives
@@ -181,7 +164,6 @@ TEST_P(CommFaults, PathologicalStragglerHitsTimeoutWithoutRetirement) {
   world.inject_faults(plan);
 
   EXPECT_THROW(world.run([&](Communicator& comm) {
-    WireCodecScope codec_scope(comm, codec());
     std::vector<float> buf(4, 1.0f);
     comm.allreduce_sum(std::span<float>(buf));
   }),
@@ -192,7 +174,6 @@ TEST_P(CommFaults, PathologicalStragglerHitsTimeoutWithoutRetirement) {
   // The world recovers once the straggler returns: barriers were
   // poisoned, not destroyed, and the next run() resets them.
   world.run([&](Communicator& comm) {
-    WireCodecScope codec_scope(comm, codec());
     std::vector<float> buf(2, 1.0f);
     comm.allreduce_sum(std::span<float>(buf));
     for (const float v : buf) EXPECT_EQ(v, 2.0f);
@@ -208,9 +189,7 @@ TEST_P(CommFaults, CorruptPayloadPoisonsEveryRankIdentically) {
 
   std::atomic<int> nan_ranks{0};
   world.run([&](Communicator& comm) {
-    // The poison is injected into the input buffer, upstream of the
-    // encoder; the lossless codec must carry the NaNs through intact.
-    WireCodecScope codec_scope(comm, codec());
+    // The poison is injected into the input buffer.
     std::vector<float> buf(8, 1.0f);
     comm.allreduce_sum(std::span<float>(buf));
     bool all_nan = true;
@@ -236,7 +215,7 @@ TEST_P(CommFaults, TrainerSkipsCorruptedStepUniformly) {
   const auto valid = tiny_corpus(vocab, 300, 22);
 
   CommWorld world(2, world_options());
-  TrainerOptions opt = trainer_options(char_options());
+  TrainerOptions opt = char_options();
   opt.dynamic_loss_scale = true;  // arms the overflow guard
   DistributedTrainer trainer(world, char_factory(vocab), opt);
 
@@ -261,9 +240,8 @@ TEST_P(CommFaults, ResilientEpochRollsBackAndExcludesDeadRank) {
   const Index vocab = 30;
   const auto train = tiny_corpus(vocab, 1200, 31);
   const auto valid = tiny_corpus(vocab, 300, 32);
-  // Same codec in the clean reference and the faulty run: the rollback
-  // must reproduce the clean trajectory under either wire format.
-  const TrainerOptions opt = trainer_options(char_options());
+  // The rollback must reproduce the clean trajectory.
+  const TrainerOptions opt = char_options();
   const std::string ckpt =
       ::testing::TempDir() + "zipflm_resilient.ckpt";
 
@@ -309,8 +287,7 @@ TEST_P(CommFaults, AdamRefusesToStepOnAfterAWorldChangeWithoutRestore) {
   const std::string ckpt = ::testing::TempDir() + "zipflm_world_change.ckpt";
 
   CommWorld world(3, world_options(2.0));
-  DistributedTrainer trainer(world, char_factory(vocab),
-                             trainer_options(char_options()));
+  DistributedTrainer trainer(world, char_factory(vocab), char_options());
   trainer.run_epoch(train, valid, 0);
   trainer.save_state_file(ckpt);
   // Kill rank 1 a few collectives into the next epoch: the world ran
@@ -343,8 +320,7 @@ TEST_P(CommFaults, ResilientEpochGivesUpAfterMaxRestarts) {
       ::testing::TempDir() + "zipflm_give_up.ckpt";
 
   CommWorld world(3, world_options(1.0));
-  DistributedTrainer trainer(world, char_factory(vocab),
-                             trainer_options(char_options()));
+  DistributedTrainer trainer(world, char_factory(vocab), char_options());
   FaultPlan plan;
   // Two deaths, one per restart attempt: with max_restarts = 1 the
   // second CollectiveTimeoutError must escape.
@@ -362,17 +338,10 @@ TEST_P(CommFaults, ResilientEpochGivesUpAfterMaxRestarts) {
 
 INSTANTIATE_TEST_SUITE_P(
     Backends, CommFaults,
-    ::testing::Combine(
-        ::testing::Values(CommBackend::SharedMem, CommBackend::Socket),
-        ::testing::Values(WireCodec::None, WireCodec::Packed)),
-    [](const ::testing::TestParamInfo<std::tuple<CommBackend, WireCodec>>&
-           info) {
-      const std::string backend =
-          std::get<0>(info.param) == CommBackend::SharedMem ? "SharedMem"
-                                                            : "Socket";
-      const std::string wire =
-          std::get<1>(info.param) == WireCodec::None ? "Raw" : "Coded";
-      return backend + wire;
+    ::testing::Values(CommBackend::SharedMem, CommBackend::Socket),
+    [](const ::testing::TestParamInfo<CommBackend>& info) {
+      return std::string(info.param == CommBackend::SharedMem ? "SharedMem"
+                                                              : "Socket");
     });
 
 }  // namespace

@@ -27,6 +27,7 @@
 #include "zipflm/serve/serve_client.hpp"
 #include "zipflm/serve/sharded_server.hpp"
 #include "zipflm/serve/socket_frontend.hpp"
+#include "decoder_fuzz.hpp"
 
 using namespace zipflm;
 
@@ -275,6 +276,107 @@ TEST(TelemetryWireTest, MalformedFramesAreProtocolErrors) {
       std::byte{0};
   EXPECT_THROW(net::telemetry::decode_begin(zero_probes),
                net::ProtocolError);
+}
+
+// Adversarial bytes: the collector decodes whatever a worker ships.
+// Every frame decoder must survive mutated frames (decoder_fuzz.hpp) —
+// decode in bounds or throw zipflm::Error.
+
+TEST(TelemetryWireFuzz, BeginSurvivesMutation) {
+  const int rejected = fuzz::mutate_and_decode(
+      0x7E1E0001u,
+      [](Rng& rng) {
+        net::telemetry::Begin begin;
+        begin.probes = static_cast<std::uint32_t>(1 + rng.uniform_index(4096));
+        begin.want_trace = rng.uniform_index(2) == 0;
+        begin.want_metrics = rng.uniform_index(2) == 0;
+        return fuzz::Frame{net::telemetry::encode_begin(begin), {}};
+      },
+      [](const std::vector<std::byte>& b) {
+        (void)net::telemetry::decode_begin(b);
+      });
+  EXPECT_GE(rejected, fuzz::kMutations / 3);
+}
+
+TEST(TelemetryWireFuzz, ClockFramesSurviveMutation) {
+  const int rejected = fuzz::mutate_and_decode(
+      0x7E1E0002u,
+      [](Rng& rng) {
+        if (rng.uniform_index(2) == 0) {
+          return fuzz::Frame{
+              net::telemetry::encode_clock_probe({rng(), rng()}), {}};
+        }
+        return fuzz::Frame{
+            net::telemetry::encode_clock_reply({rng(), rng(), rng()}), {}};
+      },
+      [](const std::vector<std::byte>& b) {
+        if (net::telemetry::frame_type(b) ==
+            net::telemetry::FrameType::ClockProbe) {
+          (void)net::telemetry::decode_clock_probe(b);
+        } else {
+          (void)net::telemetry::decode_clock_reply(b);
+        }
+      });
+  EXPECT_GE(rejected, fuzz::kMutations / 3);
+}
+
+TEST(TelemetryWireFuzz, TraceChunksSurviveMutation) {
+  const int rejected = fuzz::mutate_and_decode(
+      0x7E1E0003u,
+      [](Rng& rng) {
+        obs::ProcessTrace trace;
+        trace.label = fuzz::random_name(rng);
+        for (auto l = 1 + rng.uniform_index(3); l > 0; --l) {
+          obs::LaneSnapshot lane;
+          lane.label = fuzz::random_name(rng);
+          lane.sort_key = static_cast<int>(rng.uniform_index(100));
+          lane.dropped = 1 + rng.uniform_index(5);  // every lane ships
+          for (auto n = rng.uniform_index(5); n > 0; --n) {
+            obs::OwnedTraceEvent ev;
+            ev.name = fuzz::random_name(rng);
+            for (std::size_t a = 0; a < obs::TraceEvent::kMaxArgs; ++a) {
+              ev.arg_name[a] = fuzz::random_name(rng);  // empty: no arg
+              ev.arg[a] = rng.normal();
+            }
+            ev.start_ns = rng.uniform_index(1u << 30);
+            ev.dur_ns = rng.uniform_index(1u << 20);
+            ev.instant = rng.uniform_index(2) == 0;
+            lane.events.push_back(ev);
+          }
+          trace.lanes.push_back(lane);
+        }
+        // A few hundred bytes: one chunk, far below the split target.
+        fuzz::Frame f{net::telemetry::encode_trace_chunks(trace).front(), {}};
+        // The lane sections, and the last lane's events, run to the end
+        // of the frame: both counts are exact.
+        f.counts.push_back(
+            {1 + 8 + trace.label.size(), trace.lanes.size(), true});
+        obs::ProcessTrace head = trace;
+        head.lanes.back().events.clear();
+        f.counts.push_back(
+            {net::telemetry::encode_trace_chunks(head).front().size() - 8,
+             trace.lanes.back().events.size(), true});
+        return f;
+      },
+      [](const std::vector<std::byte>& b) {
+        obs::ProcessTrace into;
+        net::telemetry::merge_trace_chunk(b, into);
+      });
+  EXPECT_GE(rejected, fuzz::kMutations / 3);
+}
+
+TEST(TelemetryWireFuzz, MetricsFramesSurviveMutation) {
+  const int rejected = fuzz::mutate_and_decode(
+      0x7E1E0004u,
+      [](Rng& rng) {
+        return fuzz::snapshot_frame(rng, [](const obs::MetricsSnapshot& s) {
+          return net::telemetry::encode_metrics_frame(s);
+        });
+      },
+      [](const std::vector<std::byte>& b) {
+        (void)net::telemetry::decode_metrics_frame(b);
+      });
+  EXPECT_GE(rejected, fuzz::kMutations / 3);
 }
 
 // ---------------------------------------------------------------------------

@@ -88,8 +88,8 @@ class Oracle {
         rank.opt = std::make_unique<Sgd>(opt.base_lr, opt.clip);
       }
       rank.opt->set_learning_rate(lr);
-      rank.exchange = std::make_unique<UniqueExchange>(ExchangeOptions{
-          opt.wire, opt.compression_scale, opt.wire_codec, opt.index_codec});
+      rank.exchange = std::make_unique<UniqueExchange>(
+          ExchangeOptions{opt.wire, opt.compression_scale, opt.wire_codec});
       ranks_.push_back(std::move(rank));
     }
   }
@@ -251,8 +251,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(CommBackend::SharedMem,
                                          CommBackend::InProcNet,
                                          CommBackend::Socket),
-                       ::testing::Values(WireCodec::None, WireCodec::Packed,
-                                         WireCodec::Int8),
+                       ::testing::Values(WireCodec::None, WireCodec::Int8),
                        ::testing::Values(WirePrecision::FP32,
                                          WirePrecision::FP16),
                        ::testing::Bool()),

@@ -23,6 +23,7 @@
 #include "zipflm/serve/sharded_server.hpp"
 #include "zipflm/serve/socket_frontend.hpp"
 #include "zipflm/serve/wire.hpp"
+#include "decoder_fuzz.hpp"
 
 namespace zipflm::serve {
 namespace {
@@ -442,6 +443,106 @@ TEST(ServeWireTest, MalformedFramesAreProtocolErrors) {
   auto padded = wire::encode_bye();
   padded.push_back(std::byte{0});
   EXPECT_THROW((void)wire::decode_submit(padded), net::ProtocolError);
+}
+
+// ---- adversarial wire bytes -----------------------------------------
+//
+// The frontend decodes whatever a client sends, and the client whatever
+// the frontend sends: every decoder must survive mutated frames
+// (decoder_fuzz.hpp) — decode in bounds or throw zipflm::Error.
+
+std::vector<Index> random_tokens(Rng& rng) {
+  std::vector<Index> t(rng.uniform_index(41));
+  for (auto& id : t) id = static_cast<Index>(rng.uniform_index(1000));
+  return t;
+}
+
+TEST(ServeWireFuzz, SubmitSurvivesMutation) {
+  const int rejected = fuzz::mutate_and_decode(
+      0x5E5E0001u,
+      [](Rng& rng) {
+        Request req;
+        req.session_id = rng();
+        req.new_tokens = rng.uniform_index(64);
+        req.seed = rng();
+        req.options.temperature = rng.uniform(0.0, 2.0);
+        req.options.max_context = static_cast<Index>(rng.uniform_index(512));
+        req.options.top_k = static_cast<Index>(rng.uniform_index(50));
+        req.context = random_tokens(rng);
+        // The token count follows the type byte and six 8-byte fields.
+        return fuzz::Frame{wire::encode_submit(req),
+                           {{1 + 6 * 8, req.context.size(), true}}};
+      },
+      [](const std::vector<std::byte>& b) { (void)wire::decode_submit(b); });
+  EXPECT_GE(rejected, fuzz::kMutations / 3);
+}
+
+TEST(ServeWireFuzz, AdmissionSurvivesMutation) {
+  const int rejected = fuzz::mutate_and_decode(
+      0x5E5E0002u,
+      [](Rng& rng) {
+        Admission adm;
+        adm.accepted = rng.uniform_index(2) == 0;
+        adm.request_id = rng();
+        adm.queue_depth = rng.uniform_index(100);
+        adm.retry_after_seconds = rng.uniform(0.0, 1.0);
+        return fuzz::Frame{wire::encode_admission(adm), {}};
+      },
+      [](const std::vector<std::byte>& b) {
+        (void)wire::decode_admission(b);
+      });
+  EXPECT_GE(rejected, fuzz::kMutations / 3);
+}
+
+TEST(ServeWireFuzz, ResponseSurvivesMutation) {
+  const int rejected = fuzz::mutate_and_decode(
+      0x5E5E0003u,
+      [](Rng& rng) {
+        Response resp;
+        resp.request_id = rng();
+        resp.session_id = rng();
+        resp.status = static_cast<ResponseStatus>(rng.uniform_index(3));
+        resp.cache_hit = rng.uniform_index(2) == 0;
+        resp.queue_seconds = rng.uniform(0.0, 1.0);
+        resp.total_seconds = rng.uniform(0.0, 2.0);
+        resp.tokens = random_tokens(rng);
+        // type, two ids, status, cache_hit, two seconds, then the count.
+        return fuzz::Frame{wire::encode_response(resp),
+                           {{1 + 8 + 8 + 1 + 1 + 8 + 8, resp.tokens.size(),
+                             true}}};
+      },
+      [](const std::vector<std::byte>& b) {
+        (void)wire::decode_response(b);
+      });
+  EXPECT_GE(rejected, fuzz::kMutations / 3);
+}
+
+TEST(ServeWireFuzz, StatsRequestSurvivesMutation) {
+  const int rejected = fuzz::mutate_and_decode(
+      0x5E5E0004u,
+      [](Rng& rng) {
+        const std::string prefix = fuzz::random_name(rng);
+        return fuzz::Frame{wire::encode_stats_request(prefix),
+                           {{1, prefix.size(), true}}};
+      },
+      [](const std::vector<std::byte>& b) {
+        (void)wire::decode_stats_request(b);
+      });
+  EXPECT_GE(rejected, fuzz::kMutations / 3);
+}
+
+TEST(ServeWireFuzz, StatsReplySurvivesMutation) {
+  const int rejected = fuzz::mutate_and_decode(
+      0x5E5E0005u,
+      [](Rng& rng) {
+        return fuzz::snapshot_frame(rng, [](const obs::MetricsSnapshot& s) {
+          return wire::encode_stats_reply(s);
+        });
+      },
+      [](const std::vector<std::byte>& b) {
+        (void)wire::decode_stats_reply(b);
+      });
+  EXPECT_GE(rejected, fuzz::kMutations / 3);
 }
 
 // ---- socket frontend ------------------------------------------------

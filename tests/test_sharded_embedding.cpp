@@ -346,10 +346,8 @@ std::vector<unsigned char> dense_bytes(DistributedTrainer& trainer) {
   return out;
 }
 
-void expect_sharded_matches_replicated(int gpus, WireCodec codec,
-                                       bool index_codec, bool overlapped,
-                                       std::initializer_list<CommBackend>
-                                           backends) {
+void expect_sharded_matches_replicated(
+    int gpus, bool overlapped, std::initializer_list<CommBackend> backends) {
   const Index vocab = 50;
   const auto train = tiny_corpus(vocab, 2400, 7);
   const auto valid = tiny_corpus(vocab, 400, 8);
@@ -375,8 +373,6 @@ void expect_sharded_matches_replicated(int gpus, WireCodec codec,
     CommWorld world(gpus, wopt);
     TrainerOptions opt = char_options();
     opt.shard_embedding = true;
-    opt.wire_codec = codec;
-    opt.index_codec = index_codec;
     opt.overlapped_exchange = overlapped;
     opt.overlap_bucket_bytes = 512;
     DistributedTrainer trainer(world, char_factory(vocab, gpus), opt);
@@ -400,27 +396,48 @@ void expect_sharded_matches_replicated(int gpus, WireCodec codec,
 
 TEST(ShardedTrainer, MatchesReplicatedBitwiseG1AllBackends) {
   expect_sharded_matches_replicated(
-      1, WireCodec::None, false, false,
+      1, false,
       {CommBackend::SharedMem, CommBackend::InProcNet, CommBackend::Socket});
 }
 
 TEST(ShardedTrainer, MatchesReplicatedBitwiseG4AllBackends) {
   expect_sharded_matches_replicated(
-      4, WireCodec::None, false, false,
+      4, false,
       {CommBackend::SharedMem, CommBackend::InProcNet, CommBackend::Socket});
 }
 
-TEST(ShardedTrainer, PackedRowCodecStaysBitwise) {
-  // Packed is lossless, so the coded sharded run still equals the raw
-  // replicated oracle; the index legs ride the varint codec.
-  expect_sharded_matches_replicated(4, WireCodec::Packed, true, false,
-                                    {CommBackend::SharedMem,
-                                     CommBackend::Socket});
+TEST(ShardedTrainer, OverlappedExchangeStaysBitwise) {
+  expect_sharded_matches_replicated(4, true, {CommBackend::SharedMem});
 }
 
-TEST(ShardedTrainer, OverlappedExchangeStaysBitwise) {
-  expect_sharded_matches_replicated(4, WireCodec::None, false, true,
-                                    {CommBackend::SharedMem});
+TEST(ShardedTrainer, Int8PushIsBitwiseEqualAcrossBackends) {
+  // Int8 quantizes the pushed gradient rows, so the run leaves the
+  // replicated oracle; pulled rows still move raw, and both engines
+  // must land on the same losses and the same assembled table.
+  const Index vocab = 50;
+  const int gpus = 4;
+  const auto train = tiny_corpus(vocab, 2400, 7);
+  const auto valid = tiny_corpus(vocab, 400, 8);
+  std::vector<double> losses;
+  std::vector<std::vector<unsigned char>> tables;
+  for (const CommBackend backend :
+       {CommBackend::SharedMem, CommBackend::Socket}) {
+    CommWorld::Options wopt;
+    wopt.backend = backend;
+    CommWorld world(gpus, wopt);
+    TrainerOptions opt = char_options();
+    opt.shard_embedding = true;
+    opt.wire_codec = WireCodec::Int8;
+    DistributedTrainer trainer(world, char_factory(vocab, gpus), opt);
+    const EpochStats last = trainer.run_epoch(train, valid, 0);
+    EXPECT_TRUE(trainer.replicas_in_sync());
+    EXPECT_TRUE(std::isfinite(last.train_loss));
+    EXPECT_GT(world.total_ledger().codec.wire_bytes, 0u);
+    losses.push_back(last.train_loss);
+    tables.push_back(assembled_table_bytes(trainer, gpus));
+  }
+  EXPECT_EQ(losses[0], losses[1]);
+  EXPECT_EQ(tables[0], tables[1]);
 }
 
 TEST(ShardedTrainer, CorruptPushSkipsTheSameStepOnEveryRank) {
