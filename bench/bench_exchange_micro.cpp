@@ -4,10 +4,12 @@
 // Also prices the Int8 wire codec: raw encode+decode throughput
 // (ns/elem) and the end-to-end UNIQUE exchange under each gradient wire
 // format (FP32, FP16, Int8), reporting logical vs on-wire bytes.
+// BM_Collective prices single FP32 collectives per CommWorld backend.
 // google-benchmark binary: run with --benchmark_filter=... as usual.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <chrono>
 
 #include "zipflm/comm/thread_comm.hpp"
 #include "zipflm/comm/wire_codec.hpp"
@@ -202,6 +204,84 @@ void format_sweep(benchmark::internal::Benchmark* b) {
 BENCHMARK(BM_UniqueExchangeFp32)->Apply(format_sweep)->UseRealTime();
 BENCHMARK(BM_UniqueExchangeFp16)->Apply(format_sweep)->UseRealTime();
 BENCHMARK(BM_UniqueExchangeInt8)->Apply(format_sweep)->UseRealTime();
+
+// -- Per-collective latency and bandwidth ---------------------------------
+//
+// One FP32 collective at G = 4, timed inside the ranks so thread and
+// mesh start-up stay out: each of 10 passes lines the ranks up with a
+// barrier, runs `calls` back-to-back collectives and books the slowest
+// rank's time per call.  Counters: `us` per call and payload `GB_s`.
+// Compare backends, or two builds on one host, with
+//   --benchmark_filter=BM_Collective --benchmark_repetitions=5
+
+enum class CollectiveOp { Allreduce, ReduceScatterAllgather };
+
+void BM_Collective(benchmark::State& state, CollectiveOp op,
+                   CommBackend backend) {
+  constexpr int kRanks = 4;
+  const auto bytes = static_cast<std::size_t>(state.range(0));
+  const int calls = static_cast<int>(
+      std::clamp<std::size_t>((std::size_t{64} << 20) / bytes, 4, 200));
+  CommWorld::Options options;
+  options.backend = backend;
+  CommWorld world(kRanks, options);
+  double total_seconds = 0.0;
+  std::int64_t total_calls = 0;
+  for (auto _ : state) {
+    std::vector<double> seconds(kRanks, 0.0);
+    world.run([&](Communicator& comm) {
+      std::vector<float> data(bytes / sizeof(float), 0.0f);
+      const std::span<float> span(data);
+      const auto once = [&] {
+        if (op == CollectiveOp::Allreduce) {
+          comm.allreduce_sum(span);
+        } else {
+          comm.reduce_scatter_sum(span);
+          comm.allgather_chunks(span);
+        }
+      };
+      once();  // warm-up: first touch of every buffer
+      comm.barrier();
+      const auto start = std::chrono::steady_clock::now();
+      for (int i = 0; i < calls; ++i) once();
+      benchmark::DoNotOptimize(data.data());
+      seconds[static_cast<std::size_t>(comm.rank())] =
+          std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                        start)
+              .count();
+    });
+    const double slowest = *std::max_element(seconds.begin(), seconds.end());
+    state.SetIterationTime(slowest / calls);
+    total_seconds += slowest;
+    total_calls += calls;
+  }
+  state.counters["us"] = total_seconds / static_cast<double>(total_calls) * 1e6;
+  state.counters["GB_s"] = static_cast<double>(bytes) *
+                           static_cast<double>(total_calls) / total_seconds /
+                           1e9;
+}
+
+void collective_sizes(benchmark::internal::Benchmark* b) {
+  for (const std::int64_t bytes : {std::int64_t{4} << 10,
+                                   std::int64_t{256} << 10,
+                                   std::int64_t{16} << 20}) {
+    b->Arg(bytes);
+  }
+  b->UseManualTime()->Iterations(10)->Unit(benchmark::kMicrosecond);
+}
+
+BENCHMARK_CAPTURE(BM_Collective, allreduce_f32_SharedMem,
+                  CollectiveOp::Allreduce, CommBackend::SharedMem)
+    ->Apply(collective_sizes);
+BENCHMARK_CAPTURE(BM_Collective, rs_ag_f32_SharedMem,
+                  CollectiveOp::ReduceScatterAllgather, CommBackend::SharedMem)
+    ->Apply(collective_sizes);
+BENCHMARK_CAPTURE(BM_Collective, allreduce_f32_Socket,
+                  CollectiveOp::Allreduce, CommBackend::Socket)
+    ->Apply(collective_sizes);
+BENCHMARK_CAPTURE(BM_Collective, rs_ag_f32_Socket,
+                  CollectiveOp::ReduceScatterAllgather, CommBackend::Socket)
+    ->Apply(collective_sizes);
 
 }  // namespace
 }  // namespace zipflm

@@ -22,7 +22,7 @@
 // --transport selects how the ranks are realized:
 //
 //   thread  (default)  N threads of this process over CommWorld's
-//                      shared-memory collectives — the seed behavior.
+//                      default in-process transport — the seed behavior.
 //   socket             N forked OS processes that rendezvous over UNIX
 //                      sockets (ProcessGroup / zipflm::net) and train
 //                      over the real wire.  The parent first runs the
@@ -275,9 +275,9 @@ std::vector<RankReport> run_thread_world(const BenchConfig& bc,
     reports[static_cast<std::size_t>(comm.rank())] = run_rank(comm, bc, ids);
   });
   if (wire_model_out != nullptr) {
-    // The shared-memory backend moves no real bytes; model the wire
-    // volume as the ledger's logical traffic with the coded gradient
-    // legs' logical bytes swapped for their encoded bytes.
+    // The wire volume in the ledger's closed form: logical traffic with
+    // the coded gradient legs' logical bytes swapped for their encoded
+    // bytes (no collective headers, unlike the measured wire bytes).
     const auto total = world.total_ledger();
     *wire_model_out =
         total.bytes_sent - total.codec.logical_bytes + total.codec.wire_bytes;

@@ -51,7 +51,7 @@ esac
 ensure_build() {
   # shellcheck disable=SC2086  # CHECK_FLAGS is a flag list on purpose
   cmake -B build -S . $CHECK_FLAGS
-  cmake --build build -j
+  cmake --build build -j "$(nproc)"
 }
 
 tier_1() {
@@ -113,7 +113,7 @@ tier_net() {
   # transport + rendezvous + collective/trainer parity across backends),
   # test_comm_faults (the fault battery re-run over real sockets),
   # test_owner_update (the owner-side dense update against the
-  # replicated oracle, InProcNet and Socket legs included), and
+  # replicated oracle, SharedMem and Socket legs included), and
   # launch_selftest (zipflm_launch forking 4 OS processes).
   ctest --test-dir build --output-on-failure -L net
   # The wire-codec suite (int8 round trips, coded collective parity
@@ -240,7 +240,7 @@ tier_shard() {
   echo "== tier-shard: row-sharded embeddings =="
   ensure_build
   # Everything labeled `shard`: test_sharded_embedding (shard geometry,
-  # alltoallv contents + ledger parity across all three backends, pull
+  # alltoallv contents + ledger parity across both backends, pull
   # verbatim-bytes, push-vs-replicated-allreduce bitwise fold, trainer
   # parity at G in {1,4}, kill/resume, G=4 -> G=2 re-shard on load).
   ctest --test-dir build --output-on-failure -L shard
@@ -260,7 +260,7 @@ tier_tsan() {
   echo "== tier-tsan: ThreadSanitizer build =="
   # shellcheck disable=SC2086
   cmake -B build-tsan -S . -DZIPFLM_SANITIZE=thread $CHECK_FLAGS
-  cmake --build build-tsan -j
+  cmake --build build-tsan -j "$(nproc)"
   # A couple of worker threads is enough to expose ordering bugs while
   # keeping the TSAN run tractable on small containers.  The suite
   # includes test_serve_stress (concurrent submit/stop/wait),
@@ -274,7 +274,7 @@ tier_asan() {
   echo "== tier-asan: Address+UB sanitizer build =="
   # shellcheck disable=SC2086
   cmake -B build-asan -S . -DZIPFLM_SANITIZE=address,undefined $CHECK_FLAGS
-  cmake --build build-asan -j
+  cmake --build build-asan -j "$(nproc)"
   # Make every UBSAN report fatal: a diagnostic that only prints would
   # otherwise pass the gate.  Leak checking stays at ASAN's default
   # (on), catching allocation leaks in the forked socket ranks too.

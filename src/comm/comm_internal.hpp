@@ -1,17 +1,9 @@
-// Internals shared by the two collective engines (thread_comm.cpp's
-// shared-memory rings and transport_comm.cpp's message-passing rings).
-// Both must produce identical chunk schedules and feed the identical
-// global metrics — so the schedule math and the cached metric handles
-// live here, once.  Not installed: this header is private to src/comm.
+// The cached handles of the global "comm/..." metrics, shared by the
+// collective engine (transport_comm.cpp), CommWorld's rank retirement
+// and the wire codec.  Not installed: this header is private to
+// src/comm.
 #pragma once
 
-#include <algorithm>
-#include <cstddef>
-#include <cstdint>
-
-#include "zipflm/comm/communicator.hpp"
-#include "zipflm/comm/cost_model.hpp"
-#include "zipflm/comm/ledger.hpp"
 #include "zipflm/obs/metrics.hpp"
 
 namespace zipflm::comm_internal {
@@ -38,10 +30,10 @@ struct CommMetrics {
   obs::Gauge& simulated_seconds;
   obs::Counter& ranks_retired;
   obs::Counter& world_rebuilds;
-  // Real-transport telemetry (zero under the shared-memory backend):
-  // bytes that crossed an actual wire, framing included, and wall-clock
-  // seconds spent inside collectives — deliberately separate from
-  // simulated_seconds so the gauges distinguish modelled from measured.
+  // Measured transport telemetry: bytes that crossed the transport,
+  // framing included, and wall-clock seconds spent inside collectives —
+  // deliberately separate from simulated_seconds so the gauges
+  // distinguish modelled from measured.
   obs::Counter& wire_bytes_sent;
   obs::Counter& wire_bytes_received;
   obs::Gauge& real_seconds;
@@ -86,62 +78,5 @@ struct CommMetrics {
     return m;
   }
 };
-
-inline ChunkRange chunk_range(std::size_t n, int g, int c) {
-  return Communicator::ring_chunk(n, g, c);
-}
-
-inline int wrap(int x, int g) { return ((x % g) + g) % g; }
-
-/// Which halves of the ring a collective runs: the reduce-scatter, the
-/// allgather of every rank's chunk, or both (an allreduce).
-inline constexpr unsigned kReduceScatter = 1;
-inline constexpr unsigned kAllgather = 2;
-inline constexpr unsigned kBothHalves = kReduceScatter | kAllgather;
-
-/// Books one ring collective's call and peak payload under its family
-/// (allreduce, reduce-scatter, or allgather with the largest chunk as
-/// the per-rank block) into the rank's ledger and the global mirror.
-inline void book_ring_call(TrafficLedger& led, unsigned halves,
-                           std::size_t payload, std::size_t block) {
-  auto& m = CommMetrics::get();
-  if (halves == kBothHalves) {
-    ++led.allreduce_calls;
-    led.max_allreduce_payload_bytes =
-        std::max<std::uint64_t>(led.max_allreduce_payload_bytes, payload);
-    m.allreduce_calls.add(1);
-    m.max_allreduce_payload.set_max(static_cast<double>(payload));
-  } else if (halves == kReduceScatter) {
-    ++led.reduce_scatter_calls;
-    led.max_reduce_scatter_payload_bytes = std::max<std::uint64_t>(
-        led.max_reduce_scatter_payload_bytes, payload);
-    m.reduce_scatter_calls.add(1);
-    m.max_reduce_scatter_payload.set_max(static_cast<double>(payload));
-  } else {
-    ++led.allgather_calls;
-    led.max_allgather_payload_bytes =
-        std::max<std::uint64_t>(led.max_allgather_payload_bytes, block);
-    m.allgather_calls.add(1);
-    m.max_allgather_payload.set_max(static_cast<double>(block));
-  }
-}
-
-/// Books a ring collective's moved payload bytes and simulated seconds;
-/// returns the seconds.
-inline double book_ring_traffic(TrafficLedger& led, const CostModel& cost,
-                                const Topology& topo, unsigned halves,
-                                std::size_t payload, std::uint64_t moved) {
-  const double sim = halves == kBothHalves
-                         ? cost.ring_allreduce_seconds(topo, payload)
-                         : cost.ring_reduce_scatter_seconds(topo, payload);
-  led.bytes_sent += moved;
-  led.bytes_received += moved;
-  led.simulated_comm_seconds += sim;
-  auto& m = CommMetrics::get();
-  m.bytes_sent.add(moved);
-  m.bytes_received.add(moved);
-  m.simulated_seconds.add(sim);
-  return sim;
-}
 
 }  // namespace zipflm::comm_internal

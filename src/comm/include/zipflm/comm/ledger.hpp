@@ -55,18 +55,15 @@ struct TrafficLedger {
   std::uint64_t max_broadcast_payload_bytes = 0;
   /// Simulated communication seconds under the active CostModel.
   double simulated_comm_seconds = 0.0;
-  /// Bytes that actually crossed a transport (framing included) and
-  /// wall-clock seconds measured inside collectives.  Zero under the
-  /// shared-memory backend — these are the *measured* counterparts of
-  /// bytes_sent/bytes_received/simulated_comm_seconds, kept separate so
-  /// modelled and real time are never conflated.
+  /// Bytes that actually crossed the transport (framing included) and
+  /// wall-clock seconds measured inside collectives — the *measured*
+  /// counterparts of bytes_sent/bytes_received/simulated_comm_seconds,
+  /// kept separate so modelled and real time are never conflated.
   std::uint64_t wire_bytes_sent = 0;
   std::uint64_t wire_bytes_received = 0;
   double real_comm_seconds = 0.0;
-  /// Int8 logical-vs-wire volume.  Unlike wire_bytes_sent it is also
-  /// maintained under the shared-memory backend (modelled from the
-  /// encoded sizes the transport ring would have moved), so codec
-  /// benchmarks report bytes-on-wire everywhere.
+  /// Int8 logical-vs-wire volume of the coded gradient hops alone, so
+  /// codec benchmarks can separate it from the raw collectives.
   CodecTraffic codec;
 
   void reset() { *this = TrafficLedger{}; }

@@ -1,6 +1,7 @@
 // In-process multi-rank runtime: one OS thread per simulated GPU rank,
-// collectives executed step-for-step as ring algorithms over shared
-// memory.
+// every collective run by TransportComm (transport_comm.hpp) over an
+// in-process transport mesh — net::InProcHub by default, or a
+// socketpair mesh so every byte crosses the kernel.
 //
 // This is the substitution for the paper's 50-node MPI cluster.  The
 // collectives move real data through the real ring schedule (so byte
@@ -16,35 +17,25 @@
 // Fault tolerance: a FaultPlan injects rank failures at a chosen
 // collective call — Kill (the rank silently stops participating, like a
 // crashed process), Delay (a straggler), or Corrupt (the rank's payload
-// is poisoned on the wire).  With a collective timeout configured, a
-// killed rank surfaces as CollectiveTimeoutError on every survivor
-// instead of a deadlock, the dead rank is retired from the world, and
-// the next run() proceeds over the survivors only.
+// is poisoned on the wire).  A killed rank closes its endpoint, which
+// every survivor observes as CollectiveTimeoutError (as does a stall
+// longer than the collective timeout); the dead rank is retired from
+// the world, and the next run() proceeds over the survivors only.
 #pragma once
 
-#include <atomic>
-#include <exception>
+#include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "zipflm/comm/communicator.hpp"
 #include "zipflm/comm/cost_model.hpp"
-#include "zipflm/support/barrier.hpp"
+#include "zipflm/comm/transport_comm.hpp"
 
 namespace zipflm {
 
-class ThreadRankComm;
-
-enum class FaultKind : std::uint8_t {
-  Kill,     ///< rank stops participating (no abort, no exception escapes)
-  Delay,    ///< rank sleeps delay_seconds before the collective
-  Corrupt,  ///< rank's contribution is overwritten with NaN bytes
-};
-
 /// One injected fault: fires when `rank` enters its `at_collective`-th
 /// collective call (0-based, counted per rank across the world's whole
-/// lifetime), then disarms.
+/// lifetime, sub-communicator calls included), then disarms.
 struct FaultEvent {
   int rank = -1;
   FaultKind kind = FaultKind::Kill;
@@ -56,25 +47,14 @@ struct FaultPlan {
   std::vector<FaultEvent> events;
 };
 
-/// Internal signal thrown inside a killed rank's collective.  Not
-/// derived from zipflm::Error on purpose: user code catching Error must
-/// not be able to swallow a simulated process death.
-struct SimulatedRankDeath {
-  int rank = -1;
-};
-
-/// Which engine carries CommWorld's collectives.
+/// Which transport carries CommWorld's collectives.  Results are
+/// bitwise identical on both.
 enum class CommBackend : std::uint8_t {
-  /// Shared-memory rings synchronized by cyclic barriers (the original
-  /// engine): deterministic, no kernel involvement.
+  /// net::InProcHub: lanes in this address space, eager byte rings for
+  /// small messages and single-copy rendezvous for large ones.
   SharedMem,
-  /// zipflm::net message-passing rings over in-memory channels — the
-  /// transport code path with the deterministic in-process oracle
-  /// underneath.
-  InProcNet,
-  /// The same message-passing rings over real socketpair fds: every
-  /// collective byte crosses the kernel with genuine backpressure and
-  /// partial transfers.  Results are bitwise identical to SharedMem.
+  /// A socketpair mesh: every collective byte crosses the kernel with
+  /// genuine backpressure and partial transfers.
   Socket,
 };
 
@@ -93,7 +73,6 @@ class CommWorld {
   };
 
   explicit CommWorld(int world_size, Options options = Options());
-  ~CommWorld();
 
   CommWorld(const CommWorld&) = delete;
   CommWorld& operator=(const CommWorld&) = delete;
@@ -120,11 +99,13 @@ class CommWorld {
   void set_collective_timeout(double seconds);
   double collective_timeout() const noexcept { return timeout_seconds_; }
 
-  /// Execute fn(comm) concurrently on every live rank and join.  If any
-  /// rank throws, all barriers abort (no deadlock) and the lowest-rank
-  /// exception is rethrown here.  A rank killed by a FaultPlan is
-  /// retired before this returns: the survivors' CollectiveTimeoutError
-  /// is rethrown, and the next run() spans the remaining ranks only.
+  /// Execute fn(comm) concurrently on every live rank and join.  A rank
+  /// leaving fn, by return or by throw, closes its endpoint, so its
+  /// peers never deadlock on it.  The lowest-rank originating exception
+  /// is rethrown here, in preference to the CollectiveTimeoutError its
+  /// peers then see.  A rank killed by a FaultPlan is retired before
+  /// this returns: the survivors' CollectiveTimeoutError is rethrown,
+  /// and the next run() spans the remaining ranks only.
   void run(const std::function<void(Communicator&)>& fn);
 
   /// Per-rank traffic accounting for the most recent / cumulative runs.
@@ -136,88 +117,15 @@ class CommWorld {
   void reset_ledgers();
 
  private:
-  friend class ThreadRankComm;
-
-  enum class Op : std::uint8_t {
-    None,
-    Barrier,
-    AllReduceF32,
-    AllReduceF16,
-    AllReduceMaxF32,
-    ReduceScatterF32,
-    ReduceScatterF16,
-    AllGatherChunks,
-    AllGather,
-    AllGatherV,
-    AllToAllV,
-    Broadcast,
-  };
-
-  // One collective "slot" per member, re-published at each collective.
-  struct alignas(64) Slot {
-    Op op = Op::None;
-    const std::byte* src = nullptr;
-    std::byte* dst = nullptr;
-    std::size_t bytes = 0;
-    int root = -1;
-    WireCodec codec = WireCodec::None;
-  };
-
-  /// Shared state of one communicator scope (the world, one node, or the
-  /// node-leader set): a barrier and a slot per member, plus the
-  /// topology the cost model prices its ring steps against.
-  struct Group {
-    Group(int size, Topology t)
-        : barrier(size), slots(static_cast<std::size_t>(size)), topo(t) {}
-    CyclicBarrier barrier;
-    std::vector<Slot> slots;
-    Topology topo;
-
-    void validate_uniform(Op op, std::size_t bytes, int root,
-                          WireCodec codec) const;
-    int size() const noexcept { return static_cast<int>(slots.size()); }
-  };
-
-  /// What a rank must do on entering its next collective.
-  struct FaultAction {
-    FaultKind kind;
-    double delay_seconds;
-    bool armed = false;
-  };
-
   /// Advance `global_rank`'s collective counter and return the fault (if
   /// any) scheduled for this call.  Called only from that rank's thread.
-  FaultAction next_fault(int global_rank);
-
-  /// run() body for the InProcNet / Socket backends: builds a fresh
-  /// per-run transport mesh over the live ranks (poisoned streams from
-  /// a failed run are discarded wholesale) and drives fn through
-  /// TransportComm endpoints instead of the shared-memory groups.
-  void run_transport(const std::function<void(Communicator&)>& fn);
-
-  /// Shared run() epilogue: retire died ranks, rebuild groups, and
-  /// rethrow preferring an originating error over victims —
-  /// BarrierAborted always, CollectiveTimeoutError too when
-  /// `transport_victims` (a closed peer surfaces as a timeout there).
-  void finish_run(std::vector<int>& died,
-                  std::vector<std::exception_ptr>& errors,
-                  bool transport_victims);
-
-  /// Rebuild the world/node/leader groups over the live ranks.  After
-  /// any retirement the survivors are densely renumbered into a flat
-  /// single-node topology (the degraded schedule makes no locality
-  /// promises), matching how NCCL re-forms a communicator after a rank
-  /// loss.
-  void rebuild_groups();
+  TransportFault next_fault(int global_rank);
 
   const int world_size_;
   Topology topo_;
   CostModel cost_;
   CommBackend backend_ = CommBackend::SharedMem;
   double timeout_seconds_ = 0.0;
-  std::unique_ptr<Group> world_group_;
-  std::vector<std::unique_ptr<Group>> node_groups_;  ///< one per node
-  std::unique_ptr<Group> leader_group_;  ///< node leaders (nodes > 1)
   std::vector<TrafficLedger> ledgers_;
   std::vector<int> live_;    ///< global ids, ascending
   std::vector<int> failed_;  ///< retired ranks, in death order

@@ -1,42 +1,59 @@
-// Communicator implemented as message-passing rings over a
-// zipflm::net::Transport — the engine behind CommWorld's InProcNet /
-// Socket backends and the multi-process ProcessGroup.
+// The collective engine: ring collectives as message passing over a
+// zipflm::net::Transport.  It runs under every CommWorld backend (the
+// in-process transport by default, a socketpair mesh for Socket) and
+// under the multi-process ProcessGroup.
 //
-// The contract that makes backends interchangeable: every collective
-// runs the SAME chunk schedule and the SAME accumulation order as the
-// shared-memory engine in thread_comm.cpp (reduce-scatter step s
-// accumulates the left neighbour's partial of chunk wrap(rank-s-1) as
-// `mine += left`), so losses and weights are bitwise identical across
-// thread, in-proc-net, and socket worlds.  The TrafficLedger payload
-// accounting and obs span/metric instrumentation use the identical
-// formulas too; what the transport adds on top is *measured* telemetry
-// — wire_bytes_* (framing included) and real_comm_seconds — kept apart
-// from the CostModel's simulated figures.
+// Every collective runs one chunk schedule and one accumulation order
+// (reduce-scatter step s accumulates the left neighbour's partial of
+// chunk wrap(rank-s-1) as `mine += left`), so losses and weights are
+// bitwise identical across transports; tests/reference_ring.hpp replays
+// the schedule single-threaded as the oracle.  The TrafficLedger books
+// payload bytes and CostModel-simulated seconds by closed form; what the
+// transport adds on top is *measured* telemetry — wire_bytes_* (framing
+// included) and real_comm_seconds — kept apart from the simulated
+// figures.
 //
 // Every collective opens with a 24-byte header exchange between ring
 // neighbours carrying {op, payload bytes, root, sequence number}: the
 // world-size handshake's per-collective sibling.  A disagreeing header
 // is a CollectiveMismatchError; a peer that vanished mid-collective
-// (EOF, ECONNRESET, transport timeout) surfaces as
-// CollectiveTimeoutError, feeding the same rank-retire / world-rebuild
-// path the shared-memory barriers use.
+// (EOF, ECONNRESET, a closed in-process lane, transport timeout)
+// surfaces as CollectiveTimeoutError, feeding CommWorld's rank-retire /
+// world-rebuild path.
+//
+// node_comm() and leader_comm() run over a rank subset of the same
+// transport.  Their messages share the parent's per-pair FIFOs, which
+// stays correct because every member issues its collectives in the same
+// program order.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "zipflm/comm/communicator.hpp"
 #include "zipflm/comm/cost_model.hpp"
-#include "zipflm/comm/thread_comm.hpp"
 #include "zipflm/net/transport.hpp"
 
 namespace zipflm {
 
-/// What a rank must do on entering its next collective — the transport
-/// engine's view of CommWorld's private FaultAction.
+enum class FaultKind : std::uint8_t {
+  Kill,     ///< rank stops participating (no abort, no exception escapes)
+  Delay,    ///< rank sleeps delay_seconds before the collective
+  Corrupt,  ///< rank's contribution is overwritten with NaN bytes
+};
+
+/// Internal signal thrown inside a killed rank's collective.  Not
+/// derived from zipflm::Error on purpose: user code catching Error must
+/// not be able to swallow a simulated process death.
+struct SimulatedRankDeath {
+  int rank = -1;
+};
+
+/// What a rank must do on entering its next collective.
 struct TransportFault {
   FaultKind kind = FaultKind::Kill;
   double delay_seconds = 0.0;
@@ -52,7 +69,8 @@ class TransportComm final : public Communicator {
     /// (CommWorld wires its FaultPlan through this).
     std::function<TransportFault()> fault;
     /// Id used for the SimulatedRankDeath signal and trace lanes; equals
-    /// rank() except in a degraded world with retired ranks.
+    /// the world communicator's rank() except in a degraded world with
+    /// retired ranks.
     int global_rank = 0;
   };
 
@@ -60,8 +78,8 @@ class TransportComm final : public Communicator {
   /// exclusively by this communicator's thread.
   TransportComm(net::Transport& transport, Topology topo, Hooks hooks);
 
-  int rank() const noexcept override { return transport_.rank(); }
-  int world_size() const noexcept override { return transport_.world_size(); }
+  int rank() const noexcept override { return rank_; }
+  int world_size() const noexcept override { return size_; }
   const Topology& topology() const noexcept override { return topo_; }
   TrafficLedger& ledger() noexcept override { return *hooks_.ledger; }
 
@@ -85,6 +103,13 @@ class TransportComm final : public Communicator {
 
   void set_wire_codec(WireCodec codec) noexcept override { codec_ = codec; }
   WireCodec wire_codec() const noexcept override { return codec_; }
+
+  /// Sub-communicators of the world communicator (nullptr on a
+  /// sub-communicator): this rank's node, priced as one node, and the
+  /// node leaders (nodes > 1, leaders only), priced as one rank per
+  /// node.  Both book into this rank's ledger and fault hook.
+  Communicator* node_comm() noexcept override;
+  Communicator* leader_comm() noexcept override;
 
  private:
   enum class CollOp : std::uint8_t {
@@ -133,10 +158,30 @@ class TransportComm final : public Communicator {
     std::chrono::steady_clock::time_point start_;
   };
 
-  /// Fault hook at the head of every collective — same semantics as the
-  /// shared-memory engine: Kill throws SimulatedRankDeath, Delay
-  /// sleeps, Corrupt poisons the rank's own contribution with 0xFF
-  /// bytes (deferred via pending_corrupt_ when no buffer exists yet).
+  /// A communicator over the transport ranks `members` (ascending),
+  /// in which this rank is members[rank].
+  TransportComm(net::Transport& transport, Topology topo, Hooks hooks,
+                std::vector<int> members, int rank);
+
+  /// Transport rank of communicator rank r.
+  int peer(int r) const {
+    return members_.empty() ? r : members_[static_cast<std::size_t>(r)];
+  }
+  net::Completion send(int r, std::span<const std::byte> data) {
+    return transport_.send(peer(r), data);
+  }
+  net::Completion recv(int r, std::span<std::byte> into) {
+    return transport_.recv(peer(r), into);
+  }
+  void recv_in_place(int r, std::span<std::byte> scratch,
+                     const net::Transport::BytesFn& use) {
+    transport_.recv_in_place(peer(r), scratch, use);
+  }
+
+  /// Fault hook at the head of every collective: Kill throws
+  /// SimulatedRankDeath, Delay sleeps, Corrupt poisons the rank's own
+  /// contribution with 0xFF bytes (deferred via pending_corrupt_ when
+  /// no buffer exists yet).
   void enter_collective(std::byte* buf, std::size_t bytes);
 
   /// Exchange WireHeaders with the ring neighbours and validate the
@@ -156,7 +201,7 @@ class TransportComm final : public Communicator {
   [[noreturn]] void rethrow_as_collective(const char* coll);
 
   /// `halves` selects the reduce-scatter, the allgather, or both (an
-  /// allreduce) — comm_internal::kReduceScatter / kAllgather.
+  /// allreduce) — kReduceScatter / kAllgather in transport_comm.cpp.
   template <typename T, typename Red>
   void ring(std::span<T> data, CollOp op, const char* op_name, Red reduce,
             WireCodec codec, unsigned halves);
@@ -169,9 +214,28 @@ class TransportComm final : public Communicator {
                   unsigned halves, std::uint64_t& moved_elems,
                   std::uint64_t& enc_wire);
 
+  /// Room for `elems` received elements, reused across collectives and
+  /// left unwritten: an in-place receive never touches its pages.
+  template <typename T>
+  T* recv_buffer(std::size_t elems) {
+    if (recv_capacity_ < elems * sizeof(T)) {
+      recv_buffer_ =
+          std::make_unique_for_overwrite<std::byte[]>(elems * sizeof(T));
+      recv_capacity_ = elems * sizeof(T);
+    }
+    return reinterpret_cast<T*>(recv_buffer_.get());
+  }
+
   net::Transport& transport_;
   Topology topo_;
   Hooks hooks_;
+  std::vector<int> members_;  ///< transport rank per rank; empty = identity
+  int rank_;
+  int size_;
+  std::unique_ptr<std::byte[]> recv_buffer_;
+  std::size_t recv_capacity_ = 0;
+  std::unique_ptr<TransportComm> node_;
+  std::unique_ptr<TransportComm> leaders_;
   std::uint32_t seq_ = 0;  ///< collective counter, validated peer-to-peer
   WireCodec codec_ = WireCodec::None;
   bool pending_corrupt_ = false;

@@ -30,9 +30,8 @@
 namespace zipflm {
 
 /// Gradient wire codec applied per ring-allreduce hop.  Negotiated per
-/// collective: the shared-memory engine publishes it in the rendezvous
-/// slot, the transport engine in the wire header — mismatched ranks
-/// fault loudly instead of decoding garbage.
+/// collective in the wire header — mismatched ranks fault loudly
+/// instead of decoding garbage.
 enum class WireCodec : std::uint8_t {
   None = 0,  ///< raw element bytes (FP32 or FP16 as staged)
   Int8 = 1,  ///< lossy INT8 with per-chunk FP32 scale

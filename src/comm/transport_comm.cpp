@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 #include <string>
 #include <thread>
 
@@ -12,16 +13,66 @@
 
 namespace zipflm {
 
-using comm_internal::book_ring_call;
-using comm_internal::book_ring_traffic;
-using comm_internal::chunk_range;
 using comm_internal::CommMetrics;
-using comm_internal::kAllgather;
-using comm_internal::kBothHalves;
-using comm_internal::kReduceScatter;
-using comm_internal::wrap;
 
 namespace {
+ChunkRange chunk_range(std::size_t n, int g, int c) {
+  return Communicator::ring_chunk(n, g, c);
+}
+
+int wrap(int x, int g) { return ((x % g) + g) % g; }
+
+/// Which halves of the ring a collective runs: the reduce-scatter, the
+/// allgather of every rank's chunk, or both (an allreduce).
+constexpr unsigned kReduceScatter = 1;
+constexpr unsigned kAllgather = 2;
+constexpr unsigned kBothHalves = kReduceScatter | kAllgather;
+
+/// Books one ring collective's call and peak payload under its family
+/// (allreduce, reduce-scatter, or allgather with the largest chunk as
+/// the per-rank block) into the rank's ledger and the global mirror.
+void book_ring_call(TrafficLedger& led, unsigned halves, std::size_t payload,
+                    std::size_t block) {
+  auto& m = CommMetrics::get();
+  if (halves == kBothHalves) {
+    ++led.allreduce_calls;
+    led.max_allreduce_payload_bytes =
+        std::max<std::uint64_t>(led.max_allreduce_payload_bytes, payload);
+    m.allreduce_calls.add(1);
+    m.max_allreduce_payload.set_max(static_cast<double>(payload));
+  } else if (halves == kReduceScatter) {
+    ++led.reduce_scatter_calls;
+    led.max_reduce_scatter_payload_bytes = std::max<std::uint64_t>(
+        led.max_reduce_scatter_payload_bytes, payload);
+    m.reduce_scatter_calls.add(1);
+    m.max_reduce_scatter_payload.set_max(static_cast<double>(payload));
+  } else {
+    ++led.allgather_calls;
+    led.max_allgather_payload_bytes =
+        std::max<std::uint64_t>(led.max_allgather_payload_bytes, block);
+    m.allgather_calls.add(1);
+    m.max_allgather_payload.set_max(static_cast<double>(block));
+  }
+}
+
+/// Books a ring collective's moved payload bytes and simulated seconds;
+/// returns the seconds.
+double book_ring_traffic(TrafficLedger& led, const CostModel& cost,
+                         const Topology& topo, unsigned halves,
+                         std::size_t payload, std::uint64_t moved) {
+  const double sim = halves == kBothHalves
+                         ? cost.ring_allreduce_seconds(topo, payload)
+                         : cost.ring_reduce_scatter_seconds(topo, payload);
+  led.bytes_sent += moved;
+  led.bytes_received += moved;
+  led.simulated_comm_seconds += sim;
+  auto& m = CommMetrics::get();
+  m.bytes_sent.add(moved);
+  m.bytes_received.add(moved);
+  m.simulated_seconds.add(sim);
+  return sim;
+}
+
 constexpr std::uint32_t kCollMagic = 0x5A4C4331;  // "ZLC1"
 
 void poison(std::byte* buf, std::size_t bytes) {
@@ -31,12 +82,52 @@ void poison(std::byte* buf, std::size_t bytes) {
 
 TransportComm::TransportComm(net::Transport& transport, Topology topo,
                              Hooks hooks)
-    : transport_(transport), topo_(topo), hooks_(std::move(hooks)) {
+    : TransportComm(transport, topo, std::move(hooks), {}, transport.rank()) {}
+
+TransportComm::TransportComm(net::Transport& transport, Topology topo,
+                             Hooks hooks, std::vector<int> members, int rank)
+    : transport_(transport),
+      topo_(topo),
+      hooks_(std::move(hooks)),
+      members_(std::move(members)),
+      rank_(rank),
+      size_(members_.empty() ? transport.world_size()
+                             : static_cast<int>(members_.size())) {
   ZIPFLM_CHECK(hooks_.ledger != nullptr,
                "TransportComm needs a TrafficLedger sink");
   ZIPFLM_CHECK(hooks_.cost != nullptr, "TransportComm needs a CostModel");
-  ZIPFLM_CHECK(topo_.world_size() == transport_.world_size(),
-               "topology must match the transport's world size");
+  ZIPFLM_CHECK(topo_.world_size() == size_,
+               "topology must match the communicator's world size");
+}
+
+Communicator* TransportComm::node_comm() noexcept {
+  if (!members_.empty()) return nullptr;
+  if (node_ == nullptr) {
+    const int gpn = topo_.gpus_per_node;
+    const int first = topo_.node_of(rank_) * gpn;
+    std::vector<int> members(static_cast<std::size_t>(gpn));
+    std::iota(members.begin(), members.end(), first);
+    node_.reset(new TransportComm(transport_, Topology{1, gpn}, hooks_,
+                                  std::move(members), rank_ - first));
+  }
+  return node_.get();
+}
+
+Communicator* TransportComm::leader_comm() noexcept {
+  const int gpn = topo_.gpus_per_node;
+  if (!members_.empty() || topo_.nodes <= 1 || rank_ % gpn != 0) {
+    return nullptr;
+  }
+  if (leaders_ == nullptr) {
+    std::vector<int> members(static_cast<std::size_t>(topo_.nodes));
+    for (int n = 0; n < topo_.nodes; ++n) {
+      members[static_cast<std::size_t>(n)] = n * gpn;
+    }
+    leaders_.reset(new TransportComm(transport_, Topology{topo_.nodes, 1},
+                                     hooks_, std::move(members),
+                                     rank_ / gpn));
+  }
+  return leaders_.get();
 }
 
 TransportComm::WireScope::WireScope(TransportComm& comm)
@@ -132,12 +223,12 @@ void TransportComm::neighbor_handshake(CollOp op, std::uint64_t bytes,
   if (g > 1) {
     const WireHeader mine = make_header(op, bytes, root, codec);
     WireHeader theirs;
-    auto sent = transport_.send(
+    auto sent = send(
         wrap(rank() + 1, g),
         std::as_bytes(std::span<const WireHeader>(&mine, 1)));
-    transport_.recv_blocking(
-        wrap(rank() - 1, g),
-        std::as_writable_bytes(std::span<WireHeader>(&theirs, 1)));
+    recv(wrap(rank() - 1, g),
+         std::as_writable_bytes(std::span<WireHeader>(&theirs, 1)))
+        .wait();
     sent.wait();
     validate_header(theirs, op, bytes, root, codec);
   }
@@ -172,12 +263,12 @@ void TransportComm::barrier() {
     const WireHeader mine = make_header(CollOp::Barrier, 0, -1, WireCodec::None);
     for (int dist = 1; dist < g; dist <<= 1) {
       WireHeader theirs;
-      auto sent = transport_.send(
+      auto sent = send(
           wrap(rank() + dist, g),
           std::as_bytes(std::span<const WireHeader>(&mine, 1)));
-      transport_.recv_blocking(
-          wrap(rank() - dist, g),
-          std::as_writable_bytes(std::span<WireHeader>(&theirs, 1)));
+      recv(wrap(rank() - dist, g),
+           std::as_writable_bytes(std::span<WireHeader>(&theirs, 1)))
+          .wait();
       sent.wait();
       validate_header(theirs, CollOp::Barrier, 0, -1, WireCodec::None);
     }
@@ -197,7 +288,7 @@ void TransportComm::ring_coded(std::span<T> data, Red reduce, WireCodec codec,
   const int right = wrap(rank() + 1, g);
   const int left = wrap(rank() - 1, g);
   const std::size_t n = data.size();
-  std::vector<T> scratch(chunk_range(n, g, 0).size());
+  T* const scratch = recv_buffer<T>(chunk_range(n, g, 0).size());
   std::vector<std::byte> enc_send, enc_recv, enc_fwd;
 
   // One ring hop of encoded bytes: every chunk encodes to
@@ -207,17 +298,15 @@ void TransportComm::ring_coded(std::span<T> data, Red reduce, WireCodec codec,
   auto hop = [&](const std::vector<std::byte>& out_buf,
                  std::size_t recv_elems) {
     enc_recv.resize(recv_elems == 0 ? 0 : encoded_chunk_bytes(recv_elems));
-    auto sent = transport_.send(right, std::span<const std::byte>(out_buf));
-    auto got = transport_.recv(left, std::span<std::byte>(enc_recv));
+    auto sent = send(right, std::span<const std::byte>(out_buf));
+    auto got = recv(left, std::span<std::byte>(enc_recv));
     got.wait();
     sent.wait();
     enc_wire += out_buf.size();
   };
 
   // Reduce-scatter over encoded partials.  The operand the reducer sees
-  // is decode(encode(left partial)); the shared-memory engine performs
-  // the same round trip on the published values, keeping the addition
-  // trees bitwise equal.
+  // is decode(encode(left partial)).
   for (int s = 0; s + 1 < g; ++s) {
     const auto sr = chunk_range(n, g, wrap(rank() - s, g));
     const auto rr = chunk_range(n, g, wrap(rank() - s - 1, g));
@@ -231,8 +320,8 @@ void TransportComm::ring_coded(std::span<T> data, Red reduce, WireCodec codec,
     hop(enc_send, rr.size());
     if (rr.size() != 0) {
       decode_grad_chunk(codec, std::span<const std::byte>(enc_recv),
-                        std::span<T>(scratch.data(), rr.size()));
-      reduce(data.data() + rr.begin, scratch.data(), rr.size());
+                        std::span<T>(scratch, rr.size()));
+      reduce(data.data() + rr.begin, scratch, rr.size());
     }
     moved_elems += sr.size();
   }
@@ -295,25 +384,33 @@ void TransportComm::ring(std::span<T> data, CollOp op, const char* op_name,
     } else {
       if ((halves & kReduceScatter) != 0) {
         // Chunk 0 is always the largest (the first n%g chunks carry the
-        // remainder), so one scratch buffer serves every receive.
-        std::vector<T> scratch(chunk_range(n, g, 0).size());
+        // remainder), so one receive buffer serves every hop.
+        T* const scratch = recv_buffer<T>(chunk_range(n, g, 0).size());
         // Step s: send our partial of chunk (rank - s) right, receive the
         // left neighbour's partial of chunk (rank - s - 1), and
-        // accumulate it as `mine += left` — the same operand order, on
-        // the same contiguous ranges, as the shared-memory engine, so
-        // the FP addition tree is identical.
+        // accumulate it as `mine += left` on the whole contiguous chunk
+        // — the FP addition tree tests/reference_ring.hpp replays.  The
+        // in-process transport hands a large left partial over in place,
+        // so a hop costs the reduce alone.  A partial that landed in
+        // scratch is reduced only once our send has drained, so a socket
+        // keeps feeding the right neighbour first.
         for (int s = 0; s + 1 < g; ++s) {
           const auto sr = chunk_range(n, g, wrap(rank() - s, g));
           const auto rr = chunk_range(n, g, wrap(rank() - s - 1, g));
-          auto sent = transport_.send(
+          auto sent = send(
               right, std::as_bytes(data.subspan(sr.begin, sr.size())));
-          auto got = transport_.recv(
-              left, std::as_writable_bytes(
-                        std::span<T>(scratch.data(), rr.size())));
-          got.wait();
+          const auto into =
+              std::as_writable_bytes(std::span<T>(scratch, rr.size()));
+          bool reduced = false;
+          recv_in_place(left, into, [&](std::span<const std::byte> partial) {
+            if (partial.data() == into.data()) return;  // landed in scratch
+            reduce(data.data() + rr.begin,
+                   reinterpret_cast<const T*>(partial.data()), rr.size());
+            reduced = true;
+          });
           sent.wait();
-          if (rr.size() != 0) {
-            reduce(data.data() + rr.begin, scratch.data(), rr.size());
+          if (!reduced && rr.size() != 0) {
+            reduce(data.data() + rr.begin, scratch, rr.size());
           }
           moved_elems += sr.size();
         }
@@ -326,9 +423,9 @@ void TransportComm::ring(std::span<T> data, CollOp op, const char* op_name,
         for (int s = 0; s + 1 < g; ++s) {
           const auto sr = chunk_range(n, g, wrap(rank() + 1 - s, g));
           const auto rr = chunk_range(n, g, wrap(rank() - s, g));
-          auto sent = transport_.send(
+          auto sent = send(
               right, std::as_bytes(data.subspan(sr.begin, sr.size())));
-          auto got = transport_.recv(
+          auto got = recv(
               left, std::as_writable_bytes(data.subspan(rr.begin, rr.size())));
           got.wait();
           sent.wait();
@@ -416,8 +513,8 @@ void TransportComm::allgather_bytes(std::span<const std::byte> local,
       for (int s = 0; s + 1 < g; ++s) {
         const auto sb = static_cast<std::size_t>(wrap(rank() - s, g));
         const auto rb = static_cast<std::size_t>(wrap(rank() - s - 1, g));
-        auto sent = transport_.send(right, out.subspan(sb * b, b));
-        auto got = transport_.recv(left, out.subspan(rb * b, b));
+        auto sent = send(right, out.subspan(sb * b, b));
+        auto got = recv(left, out.subspan(rb * b, b));
         got.wait();
         sent.wait();
       }
@@ -468,9 +565,9 @@ void TransportComm::allgatherv_bytes(std::span<const std::byte> local,
     for (int s = 0; s + 1 < g; ++s) {
       const auto sb = static_cast<std::size_t>(wrap(rank() - s, g));
       const auto rb = static_cast<std::size_t>(wrap(rank() - s - 1, g));
-      auto sent = transport_.send(
+      auto sent = send(
           right, std::as_bytes(std::span<const std::uint64_t>(&sizes[sb], 1)));
-      auto got = transport_.recv(
+      auto got = recv(
           left, std::as_writable_bytes(std::span<std::uint64_t>(&sizes[rb], 1)));
       got.wait();
       sent.wait();
@@ -499,10 +596,10 @@ void TransportComm::allgatherv_bytes(std::span<const std::byte> local,
     for (int s = 0; s + 1 < g; ++s) {
       const auto sb = static_cast<std::size_t>(wrap(rank() - s, g));
       const auto rb = static_cast<std::size_t>(wrap(rank() - s - 1, g));
-      auto sent = transport_.send(
+      auto sent = send(
           right, std::span<const std::byte>(out.data() + offsets[sb],
                                             counts[sb]));
-      auto got = transport_.recv(
+      auto got = recv(
           left, std::span<std::byte>(out.data() + offsets[rb], counts[rb]));
       got.wait();
       sent.wait();
@@ -555,7 +652,7 @@ void TransportComm::alltoallv_bytes(std::span<const std::byte> send,
                       static_cast<double>(send.size()));
   // Stage the outgoing concatenation so a Corrupt fault poisons this
   // rank's contribution (the self block included) without touching the
-  // caller's buffer — matching the shared-memory engine.
+  // caller's buffer.
   std::vector<std::byte> staged(send.begin(), send.end());
   std::vector<std::size_t> send_off(static_cast<std::size_t>(g) + 1, 0);
   for (int d = 0; d < g; ++d) {
@@ -577,10 +674,10 @@ void TransportComm::alltoallv_bytes(std::span<const std::byte> send,
       const int from = wrap(rank() - s, g);
       std::uint64_t mine = send_counts[static_cast<std::size_t>(to)];
       std::uint64_t theirs = 0;
-      auto sent = transport_.send(
+      auto sent = this->send(
           to, std::as_bytes(std::span<const std::uint64_t>(&mine, 1)));
-      transport_.recv_blocking(
-          from, std::as_writable_bytes(std::span<std::uint64_t>(&theirs, 1)));
+      recv(from, std::as_writable_bytes(std::span<std::uint64_t>(&theirs, 1)))
+          .wait();
       sent.wait();
       recv_counts[static_cast<std::size_t>(from)] =
           static_cast<std::size_t>(theirs);
@@ -602,11 +699,11 @@ void TransportComm::alltoallv_bytes(std::span<const std::byte> send,
     for (int s = 1; s < g; ++s) {
       const auto to = static_cast<std::size_t>(wrap(rank() + s, g));
       const auto from = static_cast<std::size_t>(wrap(rank() - s, g));
-      auto sent = transport_.send(
+      auto sent = this->send(
           static_cast<int>(to),
           std::span<const std::byte>(staged.data() + send_off[to],
                                      send_counts[to]));
-      auto got = transport_.recv(
+      auto got = recv(
           static_cast<int>(from),
           std::span<std::byte>(out.data() + offsets[from], recv_counts[from]));
       got.wait();
@@ -668,10 +765,10 @@ void TransportComm::broadcast_bytes(std::span<std::byte> data, int root) {
       // left, every rank but the chain tail forwards right — the same
       // pipelined-ring shape the ledger formulas price.
       if (rank() != root) {
-        transport_.recv_blocking(wrap(rank() - 1, g), data);
+        recv(wrap(rank() - 1, g), data).wait();
       }
       if (rank() != wrap(root - 1, g)) {
-        transport_.send_blocking(wrap(rank() + 1, g), data);
+        send(wrap(rank() + 1, g), data).wait();
       }
     }
   } catch (const net::TransportError&) {

@@ -7,8 +7,9 @@
 // interface, so the same ring schedules run over any backend:
 //
 //  * InProcHub (inproc.hpp)  — N endpoints in one process connected by
-//    in-memory message queues.  No kernel involved: the deterministic
-//    test oracle the socket backend is diffed against.
+//    in-memory lanes: eager byte rings for small messages, single-copy
+//    rendezvous for large ones.  No kernel involved; CommWorld's
+//    default.
 //  * Socket (socket.hpp)     — real file descriptors: a socketpair mesh
 //    for in-process worlds, or UNIX-domain / TCP sockets joined through
 //    the rendezvous protocol for true multi-process worlds
@@ -22,16 +23,17 @@
 // kernel buffers.
 //
 // Failure model: a dead peer surfaces as PeerClosedError (EOF,
-// ECONNRESET, or a closed in-memory channel) on every operation that
+// ECONNRESET, or a closed in-memory lane) on every operation that
 // touches it — already-delivered messages are still readable first.  A
 // configured timeout turns an indefinite wait into
 // TransportTimeoutError.  The comm layer maps both onto
-// CollectiveTimeoutError so rank-retire/world-rebuild semantics hold
-// over real wires exactly as they do over the shared-memory barriers.
+// CollectiveTimeoutError, which drives CommWorld's rank-retire /
+// world-rebuild path on every transport.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 
@@ -150,6 +152,19 @@ class Transport {
   }
   void recv_blocking(int peer, std::span<std::byte> into) {
     recv(peer, into).wait();
+  }
+
+  /// Receive the next message from `peer` — exactly `scratch.size()`
+  /// bytes — and pass it to `use`, blocking like recv_blocking().  A
+  /// transport that can expose the sender's bytes in place (the
+  /// in-process rendezvous) passes those, sparing the copy into
+  /// `scratch`; the bytes are valid only during the call.  The ring
+  /// reduce-scatter adds a neighbour's partial this way.
+  using BytesFn = std::function<void(std::span<const std::byte>)>;
+  virtual void recv_in_place(int peer, std::span<std::byte> scratch,
+                             const BytesFn& use) {
+    recv_blocking(peer, scratch);
+    use(scratch);
   }
 
   /// Drive I/O for up to `max_wait_seconds` without requiring any

@@ -40,7 +40,9 @@ struct FrontendStats {
   std::uint64_t accepts = 0;
   std::uint64_t rejects = 0;
   std::uint64_t stats_requests = 0;  ///< live-introspection pulls served
-  std::uint64_t orphaned_responses = 0;  ///< peer gone before its reply
+  /// Responses whose peer was gone before the reply left: the request
+  /// finished after the peer did, or its frame failed on the dead peer.
+  std::uint64_t orphaned_responses = 0;
 };
 
 class SocketFrontend {
@@ -59,6 +61,7 @@ class SocketFrontend {
 
  private:
   struct OutFrame {
+    bool response = false;  ///< a Response frame (orphaned if dropped)
     std::uint64_t length = 0;
     std::vector<std::byte> payload;
     net::Completion header;
@@ -76,8 +79,11 @@ class SocketFrontend {
 
   void pump_recv(int rank, Peer& peer);
   void handle_frame(int rank, Peer& peer);
-  void push_frame(int rank, Peer& peer, std::vector<std::byte> payload);
+  void push_frame(int rank, Peer& peer, std::vector<std::byte> payload,
+                  bool response);
   void reap_sends(Peer& peer);
+  /// The peer is gone: drop its queued frames, counting the Responses.
+  void drop_sends(Peer& peer);
   void collect_responses(int rank, Peer& peer);
   bool drained() const;
 

@@ -70,7 +70,7 @@ void SocketFrontend::pump_recv(int rank, Peer& peer) {
       // still drain through the server; collect_responses() discards
       // the replies.
       peer.gone = true;
-      peer.sends.clear();
+      drop_sends(peer);
       peer.pending_recv = net::Completion();
       return;
     }
@@ -104,7 +104,7 @@ void SocketFrontend::handle_frame(int rank, Peer& peer) {
       } else {
         stats_.rejects += 1;
       }
-      push_frame(rank, peer, wire::encode_admission(admission));
+      push_frame(rank, peer, wire::encode_admission(admission), false);
       return;
     }
     case wire::FrameType::StatsRequest: {
@@ -125,7 +125,7 @@ void SocketFrontend::handle_frame(int rank, Peer& peer) {
         std::erase_if(snap.histograms,
                       [&](const auto& kv) { return !keep(kv.first); });
       }
-      push_frame(rank, peer, wire::encode_stats_reply(snap));
+      push_frame(rank, peer, wire::encode_stats_reply(snap), false);
       return;
     }
     case wire::FrameType::Bye:
@@ -142,9 +142,11 @@ void SocketFrontend::handle_frame(int rank, Peer& peer) {
 }
 
 void SocketFrontend::push_frame(int rank, Peer& peer,
-                                std::vector<std::byte> payload) {
+                                std::vector<std::byte> payload,
+                                bool response) {
   if (peer.gone) return;
   OutFrame frame;
+  frame.response = response;
   frame.length = payload.size();
   frame.payload = std::move(payload);
   peer.sends.push_back(std::move(frame));
@@ -167,11 +169,21 @@ void SocketFrontend::reap_sends(Peer& peer) {
       stats_.frames_sent += 1;
     } catch (const net::TransportError&) {
       peer.gone = true;
-      peer.sends.clear();
+      drop_sends(peer);
       return;
     }
     peer.sends.pop_front();
   }
+}
+
+void SocketFrontend::drop_sends(Peer& peer) {
+  // A frame counts as sent once reap_sends() pops it, so every Response
+  // still queued here never reached its peer: orphaned, exactly like
+  // one whose request finished after the peer left.
+  for (const OutFrame& frame : peer.sends) {
+    if (frame.response) stats_.orphaned_responses += 1;
+  }
+  peer.sends.clear();
 }
 
 void SocketFrontend::collect_responses(int rank, Peer& peer) {
@@ -187,7 +199,7 @@ void SocketFrontend::collect_responses(int rank, Peer& peer) {
       stats_.orphaned_responses += 1;
       continue;
     }
-    push_frame(rank, peer, wire::encode_response(response));
+    push_frame(rank, peer, wire::encode_response(response), true);
   }
 }
 

@@ -198,8 +198,9 @@ TEST(CommWorld, RankExceptionDoesNotDeadlockOtherRanks) {
                  if (comm.rank() == 2) {
                    throw ConfigError("simulated rank failure");
                  }
-                 // Other ranks block on a barrier; the abort must free
-                 // them instead of hanging the test.
+                 // Other ranks block on a barrier; the failed rank's
+                 // closed endpoint must free them instead of hanging the
+                 // test.
                  comm.barrier();
                }),
                ConfigError);

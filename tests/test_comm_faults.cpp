@@ -5,9 +5,9 @@
 // trainer's overflow guard can skip the step in lockstep.
 //
 // The whole suite is parameterized over the CommWorld backend: the same
-// guarantees must hold when the collectives run over shared memory and
-// when they run over real sockets (where a dead rank is an EOF on the
-// wire rather than a barrier timeout).
+// guarantees must hold over the in-process transport (where a dead rank
+// is a closed lane) and over real sockets (where it is an EOF on the
+// wire).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -171,8 +171,8 @@ TEST_P(CommFaults, PathologicalStragglerHitsTimeoutWithoutRetirement) {
   EXPECT_TRUE(world.failed_ranks().empty());
   EXPECT_EQ(world.world_size(), 2);
 
-  // The world recovers once the straggler returns: barriers were
-  // poisoned, not destroyed, and the next run() resets them.
+  // The world recovers once the straggler returns: the next run()
+  // builds a fresh transport mesh.
   world.run([&](Communicator& comm) {
     std::vector<float> buf(2, 1.0f);
     comm.allreduce_sum(std::span<float>(buf));

@@ -153,6 +153,40 @@ TEST(Hierarchical, WinsWhenIntraNodeLinksAreMuchFaster) {
   EXPECT_GT(measure(12.8e9, true), measure(12.8e9, false));
 }
 
+TEST(Hierarchical, SubCommunicatorsMatchAcrossBackendsBitwise) {
+  // node_comm / leader_comm run over a rank subset of the world's own
+  // transport; the socket mesh must give the bits and the simulated
+  // seconds of the in-process default.
+  std::vector<std::vector<float>> results[2];
+  double sim[2] = {};
+  for (const CommBackend backend :
+       {CommBackend::SharedMem, CommBackend::Socket}) {
+    const auto b = static_cast<std::size_t>(backend == CommBackend::Socket);
+    CommWorld::Options o = multi_node(3, 2);
+    o.backend = backend;
+    CommWorld world(6, o);
+    results[b].resize(6);
+    world.run([&](Communicator& comm) {
+      std::vector<float> data(333);
+      Rng rng(700 + static_cast<std::uint64_t>(comm.rank()));
+      for (auto& v : data) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+      for (int step = 0; step < 3; ++step) {
+        hierarchical_allreduce_sum(comm, std::span<float>(data));
+      }
+      std::vector<Half> h(17, Half(0.5f));
+      hierarchical_allreduce_sum(comm, std::span<Half>(h));
+      for (const Half x : h) ASSERT_EQ(static_cast<float>(x), 3.0f);
+      results[b][static_cast<std::size_t>(comm.rank())] = data;
+    });
+    sim[b] = world.max_simulated_comm_seconds();
+  }
+  for (std::size_t r = 0; r < 6; ++r) {
+    EXPECT_EQ(results[0][r], results[1][r]) << "rank " << r;
+    EXPECT_EQ(results[0][r], results[0][0]) << "rank " << r;
+  }
+  EXPECT_EQ(sim[0], sim[1]);
+}
+
 TEST(Hierarchical, FallsBackToFlatOnSingleNode) {
   CommWorld world(4);
   world.run([&](Communicator& comm) {

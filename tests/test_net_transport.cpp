@@ -1,21 +1,21 @@
-// zipflm::net transport layer and the collectives re-plumbed over it.
+// zipflm::net transport layer and the collective engine over it.
 //
 // Three strata:
 //  * Transport semantics — rendezvous handshake, nonblocking completion,
-//    partial bidirectional transfers without deadlock, recv timeouts,
-//    and the drain-then-PeerClosedError failure order, on both the
-//    in-process oracle and the real socket backend.
-//  * Collective parity — the same battery of collectives run under the
-//    SharedMem, InProcNet, and Socket CommWorld backends must produce
-//    bitwise-identical buffers and identical payload ledgers (the net
-//    backends additionally record nonzero wire bytes).
-//  * Trainer parity — a DistributedTrainer run over the message-passing
-//    backends reproduces the shared-memory losses and weights exactly,
-//    at G in {1, 4}, FP32/FP16 wire, and with the overlapped bucketed
-//    exchange riding the socket path.
+//    eager and rendezvous messages, bidirectional transfers without
+//    deadlock, recv timeouts, and the drain-then-PeerClosedError
+//    failure order, on both the in-process and the socket transport.
+//  * Collective parity — one battery of collectives under the SharedMem
+//    and Socket CommWorld backends must equal the single-threaded ring
+//    replay (reference_ring.hpp) and the byte collectives' closed forms
+//    bitwise, with identical payload ledgers and measured wire bytes.
+//  * Trainer parity — a DistributedTrainer run over sockets reproduces
+//    the default backend's losses and weights exactly, at G in {1, 4},
+//    FP32/FP16 wire, and with the overlapped bucketed exchange.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <future>
 #include <thread>
@@ -28,7 +28,9 @@
 #include "zipflm/net/inproc.hpp"
 #include "zipflm/net/socket.hpp"
 #include "zipflm/net/transport.hpp"
+#include "zipflm/support/rng.hpp"
 #include "zipflm/tensor/half.hpp"
+#include "reference_ring.hpp"
 
 namespace zipflm {
 namespace {
@@ -41,7 +43,7 @@ std::span<std::byte> writable_bytes_of(auto& v) {
   return std::as_writable_bytes(std::span(v));
 }
 
-// -- Transport semantics: in-process oracle ---------------------------
+// -- Transport semantics: in-process transport -------------------------
 
 TEST(InProcTransport, EndpointIdentityAndVacuousEmptyOps) {
   net::InProcHub hub(3);
@@ -85,15 +87,6 @@ TEST(InProcTransport, NonblockingRecvCompletesWhenMessageArrives) {
   EXPECT_EQ(ep1->stats().wire_bytes_received, sizeof(int) * 4);
 }
 
-TEST(InProcTransport, RecvTimesOut) {
-  net::InProcHub hub(2);
-  auto ep1 = hub.endpoint(1);
-  ep1->set_timeout_seconds(0.05);
-  std::vector<std::byte> in(8);
-  EXPECT_THROW(ep1->recv_blocking(0, writable_bytes_of(in)),
-               net::TransportTimeoutError);
-}
-
 TEST(InProcTransport, PeerCloseDrainsBufferedMessagesFirst) {
   net::InProcHub hub(2);
   auto ep0 = hub.endpoint(0);
@@ -124,29 +117,96 @@ TEST(InProcTransport, SizeMismatchIsProtocolError) {
                net::ProtocolError);
 }
 
-// -- Transport semantics: socket backend ------------------------------
-
-TEST(SocketTransport, NonblockingCompletionOverSocketpair) {
-  auto mesh = net::socketpair_mesh(2);
-  ASSERT_EQ(mesh.size(), 2u);
-  EXPECT_STREQ(mesh[0]->kind(), "socket");
-
-  std::vector<int> in(3, 0);
-  auto recvd = mesh[1]->recv(0, writable_bytes_of(in));
-  const std::vector<int> out{7, 8, 9};
-  mesh[0]->send_blocking(1, bytes_of(out));
-  recvd.wait();
+TEST(InProcTransport, LargeSendCompletesOnlyOnceReceived) {
+  // A large message is a rendezvous: the receiver copies straight out
+  // of the posted buffer, so the send is pending until it has.
+  net::InProcHub hub(2);
+  auto ep0 = hub.endpoint(0);
+  auto ep1 = hub.endpoint(1);
+  std::vector<std::byte> out(1 << 20, std::byte{7});
+  auto sent = ep0->send(1, bytes_of(out));
+  EXPECT_FALSE(sent.done());
+  std::vector<std::byte> in(out.size());
+  ep1->recv_blocking(0, writable_bytes_of(in));
+  sent.wait();
   EXPECT_EQ(in, out);
-  EXPECT_GE(mesh[0]->stats().wire_bytes_sent, sizeof(int) * 3);
+
+  // With nobody receiving, the pending send runs into the timeout.
+  ep0->set_timeout_seconds(0.05);
+  EXPECT_THROW(ep0->send_blocking(1, bytes_of(out)),
+               net::TransportTimeoutError);
 }
 
-TEST(SocketTransport, LargeBidirectionalPayloadsDoNotDeadlock) {
-  // Both ranks push 8 MiB at each other head-to-head — far beyond any
-  // kernel socket buffer, so neither side's send can finish unless its
-  // wait() keeps draining the incoming stream (the partial-transfer
+TEST(InProcTransport, RecvInPlaceHandsOverTheSendersBytes) {
+  // The ring reduce-scatter adds a rendezvous partial where it lies in
+  // the sender's buffer; an eager message arrives through the scratch.
+  net::InProcHub hub(2);
+  auto ep0 = hub.endpoint(0);
+  auto ep1 = hub.endpoint(1);
+  const std::vector<std::byte> large(1 << 20, std::byte{3});
+  const std::vector<std::byte> small(64, std::byte{4});
+  auto sent_large = ep0->send(1, bytes_of(large));
+  auto sent_small = ep0->send(1, bytes_of(small));
+  std::vector<std::byte> scratch(large.size());
+  ep1->recv_in_place(0, scratch, [&](std::span<const std::byte> got) {
+    EXPECT_EQ(got.data(), large.data());
+  });
+  sent_large.wait();
+  scratch.resize(small.size());
+  ep1->recv_in_place(0, scratch, [&](std::span<const std::byte> got) {
+    EXPECT_EQ(got.data(), scratch.data());
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), small.begin()));
+  });
+  sent_small.wait();
+}
+
+TEST(InProcTransport, AbandonedLargeSendIsWithdrawn) {
+  // A caller unwinding past a pending send frees its buffer; the
+  // message must leave the lane with it, never be copied from freed
+  // memory.  The next message is what the receiver gets.
+  net::InProcHub hub(2);
+  auto ep0 = hub.endpoint(0);
+  auto ep1 = hub.endpoint(1);
+  {
+    std::vector<std::byte> doomed(1 << 20, std::byte{1});
+    auto sent = ep0->send(1, bytes_of(doomed));
+    EXPECT_FALSE(sent.done());
+  }
+  const std::vector<int> next{42};
+  ep0->send_blocking(1, bytes_of(next));
+  std::vector<int> in(1, 0);
+  ep1->recv_blocking(0, writable_bytes_of(in));
+  EXPECT_EQ(in, next);
+}
+
+// -- Transport semantics: every backend -------------------------------
+
+using MeshFactory =
+    std::vector<std::unique_ptr<net::Transport>> (*)(int world);
+
+std::vector<std::unique_ptr<net::Transport>> inproc_mesh(int world) {
+  net::InProcHub hub(world);
+  std::vector<std::unique_ptr<net::Transport>> mesh;
+  for (int r = 0; r < world; ++r) mesh.push_back(hub.endpoint(r));
+  return mesh;
+}
+
+class Transports : public ::testing::TestWithParam<MeshFactory> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Meshes, Transports,
+    ::testing::Values(&inproc_mesh, &net::socketpair_mesh),
+    [](const ::testing::TestParamInfo<MeshFactory>& info) {
+      return std::string(info.param == &inproc_mesh ? "InProc" : "Socketpair");
+    });
+
+TEST_P(Transports, LargeBidirectionalPayloadsDoNotDeadlock) {
+  // Both ranks push 8 MiB at each other head-to-head — beyond any
+  // kernel socket buffer and any eager ring, so neither side's send can
+  // finish unless its wait() keeps servicing the incoming stream (the
   // progress engine under every symmetric ring step).
   constexpr std::size_t kBytes = 8u << 20;
-  auto mesh = net::socketpair_mesh(2);
+  auto mesh = GetParam()(2);
   auto run = [&](int r) {
     std::vector<std::byte> out(kBytes);
     for (std::size_t i = 0; i < out.size(); ++i) {
@@ -174,16 +234,69 @@ TEST(SocketTransport, LargeBidirectionalPayloadsDoNotDeadlock) {
   EXPECT_GE(mesh[0]->stats().wire_bytes_received, kBytes);
 }
 
-TEST(SocketTransport, RecvTimesOut) {
-  auto mesh = net::socketpair_mesh(2);
+TEST_P(Transports, MixedSizesStayFifoPastTheEagerRing) {
+  // 96 posted sends alternating 4 KiB and 40 KiB, none received yet:
+  // small ones fill whatever eager buffering the backend has, then
+  // everything waits for the receiver.  Arrival order is post order.
+  auto mesh = GetParam()(2);
+  constexpr int kMessages = 96;
+  auto size_of = [](int i) -> std::size_t {
+    return i % 2 == 0 ? 4 * 1024 : 40 * 1024;
+  };
+  std::vector<std::vector<std::byte>> out(kMessages);
+  std::vector<net::Completion> sends;
+  for (int i = 0; i < kMessages; ++i) {
+    out[static_cast<std::size_t>(i)].assign(size_of(i),
+                                            static_cast<std::byte>(i));
+  }
+  auto receiver = std::async(std::launch::async, [&] {
+    bool ok = true;
+    for (int i = 0; i < kMessages; ++i) {
+      std::vector<std::byte> in(size_of(i));
+      mesh[1]->recv_blocking(0, in);
+      ok = ok && in == out[static_cast<std::size_t>(i)];
+    }
+    return ok;
+  });
+  for (int i = 0; i < kMessages; ++i) {
+    sends.push_back(mesh[0]->send(1, bytes_of(out[static_cast<std::size_t>(i)])));
+  }
+  for (auto& s : sends) s.wait();
+  EXPECT_TRUE(receiver.get());
+}
+
+TEST_P(Transports, RecvInPlaceDeliversEveryMessage) {
+  auto mesh = GetParam()(2);
+  for (const std::size_t n : {std::size_t{8}, std::size_t{3} << 20}) {
+    std::vector<std::byte> out(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      out[i] = static_cast<std::byte>(i * 7 & 0xFF);
+    }
+    // The receiver runs on its own thread: a socket send only drains
+    // while its own endpoint is driven.
+    auto received = std::async(std::launch::async, [&] {
+      std::vector<std::byte> scratch(n);
+      bool same = false;
+      mesh[1]->recv_in_place(0, scratch, [&](std::span<const std::byte> got) {
+        same = std::equal(got.begin(), got.end(), out.begin(), out.end());
+      });
+      return same;
+    });
+    mesh[0]->send_blocking(1, bytes_of(out));
+    EXPECT_TRUE(received.get()) << n << " bytes";
+  }
+}
+
+TEST_P(Transports, RecvTimesOut) {
+  auto mesh = GetParam()(2);
   mesh[1]->set_timeout_seconds(0.05);
   std::vector<std::byte> in(16);
   EXPECT_THROW(mesh[1]->recv_blocking(0, writable_bytes_of(in)),
                net::TransportTimeoutError);
 }
 
-TEST(SocketTransport, PeerDeathDrainsThenFails) {
-  auto mesh = net::socketpair_mesh(2);
+TEST_P(Transports, PeerDeathDrainsThenFails) {
+  auto mesh = GetParam()(2);
   const std::vector<double> out{1.25, 2.5};
   mesh[0]->send_blocking(1, bytes_of(out));
   mesh[0]->close();
@@ -193,6 +306,22 @@ TEST(SocketTransport, PeerDeathDrainsThenFails) {
   EXPECT_EQ(in, out);
   EXPECT_THROW(mesh[1]->recv_blocking(0, writable_bytes_of(in)),
                net::PeerClosedError);
+}
+
+// -- Transport semantics: socket backend ------------------------------
+
+TEST(SocketTransport, NonblockingCompletionOverSocketpair) {
+  auto mesh = net::socketpair_mesh(2);
+  ASSERT_EQ(mesh.size(), 2u);
+  EXPECT_STREQ(mesh[0]->kind(), "socket");
+
+  std::vector<int> in(3, 0);
+  auto recvd = mesh[1]->recv(0, writable_bytes_of(in));
+  const std::vector<int> out{7, 8, 9};
+  mesh[0]->send_blocking(1, bytes_of(out));
+  recvd.wait();
+  EXPECT_EQ(in, out);
+  EXPECT_GE(mesh[0]->stats().wire_bytes_sent, sizeof(int) * 3);
 }
 
 // -- Rendezvous protocol ----------------------------------------------
@@ -270,7 +399,7 @@ TEST(ProcessGroup, TwoProcessesWorthOfRanksInThreads) {
   EXPECT_TRUE(f1.get());
 }
 
-// -- Collective parity across CommWorld backends ----------------------
+// -- Collective parity: every backend against the oracles --------------
 
 struct RankOutcome {
   std::vector<unsigned char> bytes;  ///< every result buffer, concatenated
@@ -281,6 +410,53 @@ void append_bytes(std::vector<unsigned char>& out, const void* p,
                   std::size_t n) {
   const auto* b = static_cast<const unsigned char*>(p);
   out.insert(out.end(), b, b + n);
+}
+
+template <typename T>
+void append(std::vector<unsigned char>& out, const std::vector<T>& v) {
+  append_bytes(out, v.data(), v.size() * sizeof(T));
+}
+
+// The battery's inputs, per rank.  Sizes are prime, so ring chunks are
+// uneven, and at G = 64 some of them are empty.
+std::vector<float> sum_input(int r) {
+  std::vector<float> f(41);
+  for (std::size_t j = 0; j < f.size(); ++j) {
+    f[j] = 0.125f * static_cast<float>(r + 1) * static_cast<float>(j + 1);
+  }
+  return f;
+}
+
+std::vector<Half> half_input(int r) {
+  std::vector<Half> h(23);
+  for (std::size_t j = 0; j < h.size(); ++j) {
+    h[j] = Half(0.25f * static_cast<float>(r + 1) -
+                0.5f * static_cast<float>(j));
+  }
+  return h;
+}
+
+std::vector<float> max_input(int r) {
+  std::vector<float> m(17);
+  for (std::size_t j = 0; j < m.size(); ++j) {
+    m[j] = static_cast<float>((r * 7 + static_cast<int>(j) * 3) % 13) - 6.0f;
+  }
+  return m;
+}
+
+std::vector<float> noisy_input(int r) {
+  std::vector<float> v(67);
+  Rng rng(900 + static_cast<std::uint64_t>(r));
+  for (auto& x : v) x = static_cast<float>(rng.uniform(-1.0, 1.0));
+  return v;
+}
+
+/// The owned chunk of a reduce-scatter result (the rest is scratch).
+template <typename T>
+std::vector<T> owned_part(const std::vector<T>& v, int r, int g) {
+  const ChunkRange c = Communicator::owned_chunk(v.size(), r, g);
+  return {v.begin() + static_cast<std::ptrdiff_t>(c.begin),
+          v.begin() + static_cast<std::ptrdiff_t>(c.end)};
 }
 
 /// One deterministic pass through every collective family.
@@ -295,45 +471,50 @@ std::vector<RankOutcome> run_battery(CommBackend backend, int gpus) {
     auto& out = outs[static_cast<std::size_t>(r)].bytes;
     comm.barrier();
 
-    std::vector<float> f(41);
-    for (std::size_t j = 0; j < f.size(); ++j) {
-      f[j] = 0.125f * static_cast<float>(r + 1) * static_cast<float>(j + 1);
-    }
-    comm.allreduce_sum(std::span<float>(f));
-    append_bytes(out, f.data(), f.size() * sizeof(float));
+    // Ring collectives, raw and Int8-coded (max is never coded).
+    for (const WireCodec codec : {WireCodec::None, WireCodec::Int8}) {
+      WireCodecScope scope(comm, codec);
+      auto f = sum_input(r);
+      comm.allreduce_sum(std::span<float>(f));
+      append(out, f);
 
-    std::vector<Half> h(23);
-    for (std::size_t j = 0; j < h.size(); ++j) {
-      h[j] = Half(0.25f * static_cast<float>(r + 1) -
-                  0.5f * static_cast<float>(j));
-    }
-    comm.allreduce_sum(std::span<Half>(h));
-    append_bytes(out, h.data(), h.size() * sizeof(Half));
+      auto h = half_input(r);
+      comm.allreduce_sum(std::span<Half>(h));
+      append(out, h);
 
-    std::vector<float> m(17);
-    for (std::size_t j = 0; j < m.size(); ++j) {
-      m[j] = static_cast<float>((r * 7 + static_cast<int>(j) * 3) % 13) - 6.0f;
-    }
-    comm.allreduce_max(std::span<float>(m));
-    append_bytes(out, m.data(), m.size() * sizeof(float));
+      auto m = max_input(r);
+      comm.allreduce_max(std::span<float>(m));
+      append(out, m);
 
+      auto v = noisy_input(r);
+      comm.reduce_scatter_sum(std::span<float>(v));
+      append(out, owned_part(v, r, g));
+      comm.allgather_chunks(std::span<float>(v));
+      append(out, v);
+
+      auto vh = half_input(r);
+      comm.reduce_scatter_sum(std::span<Half>(vh));
+      append(out, owned_part(vh, r, g));
+    }
+
+    // Byte collectives.
     const std::vector<int> mine{r * 3, r * 3 + 1};
     std::vector<int> gathered;
     comm.allgather(std::span<const int>(mine), gathered);
-    append_bytes(out, gathered.data(), gathered.size() * sizeof(int));
+    append(out, gathered);
 
     const std::vector<double> vmine(static_cast<std::size_t>(r) + 1,
                                     1.5 * r - 0.25);
     std::vector<double> vgathered;
     std::vector<std::size_t> counts;
     comm.allgatherv(std::span<const double>(vmine), vgathered, &counts);
-    append_bytes(out, vgathered.data(), vgathered.size() * sizeof(double));
-    append_bytes(out, counts.data(), counts.size() * sizeof(std::size_t));
+    append(out, vgathered);
+    append(out, counts);
 
     const int root = g > 1 ? 1 : 0;
     std::vector<float> b(9, r == root ? 2.5f : 0.0f);
     comm.broadcast(std::span<float>(b), root);
-    append_bytes(out, b.data(), b.size() * sizeof(float));
+    append(out, b);
 
     // alltoallv with uneven per-destination counts (dest d gets d+1
     // elements from every source, so block boundaries differ per pair).
@@ -350,9 +531,8 @@ std::vector<RankOutcome> run_battery(CommBackend backend, int gpus) {
     std::vector<std::size_t> a2a_recv;
     comm.alltoallv(std::span<const std::int32_t>(a2a_send), a2a_counts,
                    a2a_out, a2a_recv);
-    append_bytes(out, a2a_out.data(), a2a_out.size() * sizeof(std::int32_t));
-    append_bytes(out, a2a_recv.data(),
-                 a2a_recv.size() * sizeof(std::size_t));
+    append(out, a2a_out);
+    append(out, a2a_recv);
 
     comm.barrier();
   });
@@ -362,11 +542,72 @@ std::vector<RankOutcome> run_battery(CommBackend backend, int gpus) {
   return outs;
 }
 
+/// What run_battery must produce: the ring collectives replayed by
+/// tests/reference_ring.hpp, the byte collectives in closed form.
+std::vector<std::vector<unsigned char>> expected_battery(int g) {
+  namespace ref = reference_ring;
+  std::vector<std::vector<unsigned char>> outs(static_cast<std::size_t>(g));
+  auto per_rank = [g](auto input) {
+    std::vector<decltype(input(0))> bufs;
+    for (int r = 0; r < g; ++r) bufs.push_back(input(r));
+    return bufs;
+  };
+  for (const WireCodec codec : {WireCodec::None, WireCodec::Int8}) {
+    auto f = per_rank(sum_input);
+    ref::allreduce(f, ref::Combine::Sum, codec);
+    auto h = per_rank(half_input);
+    ref::allreduce(h, ref::Combine::Sum, codec);
+    auto m = per_rank(max_input);
+    ref::allreduce(m, ref::Combine::Max);
+    auto v = per_rank(noisy_input);
+    ref::reduce_scatter(v, ref::Combine::Sum, codec);
+    auto scattered = v;
+    ref::allgather_chunks(v);
+    auto vh = per_rank(half_input);
+    ref::reduce_scatter(vh, ref::Combine::Sum, codec);
+    for (int r = 0; r < g; ++r) {
+      const auto ri = static_cast<std::size_t>(r);
+      auto& out = outs[ri];
+      append(out, f[ri]);
+      append(out, h[ri]);
+      append(out, m[ri]);
+      append(out, owned_part(scattered[ri], r, g));
+      append(out, v[ri]);
+      append(out, owned_part(vh[ri], r, g));
+    }
+  }
+  for (int r = 0; r < g; ++r) {
+    auto& out = outs[static_cast<std::size_t>(r)];
+    std::vector<int> gathered;
+    std::vector<double> vgathered;
+    std::vector<std::size_t> counts;
+    for (int s = 0; s < g; ++s) {
+      gathered.insert(gathered.end(), {s * 3, s * 3 + 1});
+      vgathered.insert(vgathered.end(), static_cast<std::size_t>(s) + 1,
+                       1.5 * s - 0.25);
+      counts.push_back(static_cast<std::size_t>(s) + 1);
+    }
+    append(out, gathered);
+    append(out, vgathered);
+    append(out, counts);
+    append(out, std::vector<float>(9, 2.5f));
+    std::vector<std::int32_t> a2a;
+    for (int s = 0; s < g; ++s) {
+      for (int j = 0; j <= r; ++j) a2a.push_back(s * 100 + r * 10 + j);
+    }
+    append(out, a2a);
+    append(out, std::vector<std::size_t>(static_cast<std::size_t>(g),
+                                         static_cast<std::size_t>(r) + 1));
+  }
+  return outs;
+}
+
 void expect_payload_ledgers_equal(const TrafficLedger& a,
                                   const TrafficLedger& b) {
   EXPECT_EQ(a.bytes_sent, b.bytes_sent);
   EXPECT_EQ(a.bytes_received, b.bytes_received);
   EXPECT_EQ(a.allreduce_calls, b.allreduce_calls);
+  EXPECT_EQ(a.reduce_scatter_calls, b.reduce_scatter_calls);
   EXPECT_EQ(a.allgather_calls, b.allgather_calls);
   EXPECT_EQ(a.alltoall_calls, b.alltoall_calls);
   EXPECT_EQ(a.broadcast_calls, b.broadcast_calls);
@@ -375,34 +616,53 @@ void expect_payload_ledgers_equal(const TrafficLedger& a,
   EXPECT_EQ(a.max_allgather_payload_bytes, b.max_allgather_payload_bytes);
   EXPECT_EQ(a.max_alltoall_payload_bytes, b.max_alltoall_payload_bytes);
   EXPECT_EQ(a.max_broadcast_payload_bytes, b.max_broadcast_payload_bytes);
+  EXPECT_EQ(a.codec.logical_bytes, b.codec.logical_bytes);
+  EXPECT_EQ(a.codec.wire_bytes, b.codec.wire_bytes);
   EXPECT_EQ(a.simulated_comm_seconds, b.simulated_comm_seconds);
 }
 
-TEST(TransportCommParity, CollectivesMatchSharedMemBitwise) {
-  for (const int gpus : {1, 4}) {
-    const auto ref = run_battery(CommBackend::SharedMem, gpus);
-    for (const CommBackend backend :
-         {CommBackend::InProcNet, CommBackend::Socket}) {
-      const auto got = run_battery(backend, gpus);
-      for (int r = 0; r < gpus; ++r) {
-        const auto& want = ref[static_cast<std::size_t>(r)];
-        const auto& have = got[static_cast<std::size_t>(r)];
-        EXPECT_EQ(want.bytes, have.bytes)
-            << "rank " << r << " diverged at G=" << gpus;
-        expect_payload_ledgers_equal(want.ledger, have.ledger);
-        // Real wire traffic exists only on the net backends (and only
-        // when there is a peer to talk to).
-        EXPECT_EQ(want.ledger.wire_bytes_sent, 0u);
-        if (gpus > 1) {
-          EXPECT_GT(have.ledger.wire_bytes_sent, 0u);
-          EXPECT_GT(have.ledger.real_comm_seconds, 0.0);
-        }
+void expect_battery_matches_oracles(int gpus,
+                                    std::initializer_list<CommBackend> backends) {
+  const auto want = expected_battery(gpus);
+  std::vector<std::vector<RankOutcome>> runs;
+  for (const CommBackend backend : backends) {
+    const auto got = run_battery(backend, gpus);
+    for (int r = 0; r < gpus; ++r) {
+      const auto& have = got[static_cast<std::size_t>(r)];
+      EXPECT_TRUE(want[static_cast<std::size_t>(r)] == have.bytes)
+          << "rank " << r << " diverged from the oracles at G=" << gpus
+          << " on backend " << static_cast<int>(backend);
+      // Every backend moves real bytes once there is a peer.
+      if (gpus > 1) {
+        EXPECT_GT(have.ledger.wire_bytes_sent, 0u);
+        EXPECT_GT(have.ledger.real_comm_seconds, 0.0);
       }
+    }
+    runs.push_back(got);
+  }
+  // The payload ledgers are closed forms: equal on every backend.
+  for (std::size_t b = 1; b < runs.size(); ++b) {
+    for (int r = 0; r < gpus; ++r) {
+      expect_payload_ledgers_equal(runs[0][static_cast<std::size_t>(r)].ledger,
+                                   runs[b][static_cast<std::size_t>(r)].ledger);
     }
   }
 }
 
-// -- Trainer parity: thread vs message-passing backends ---------------
+TEST(TransportCommParity, CollectivesMatchTheOraclesBitwise) {
+  for (const int gpus : {1, 2, 3, 4}) {
+    expect_battery_matches_oracles(
+        gpus, {CommBackend::SharedMem, CommBackend::Socket});
+  }
+}
+
+TEST(TransportCommParity, SixtyFourRankBatterySmoke) {
+  // 4,032 directed pairs, of which the battery's alltoallv touches
+  // every one; the in-process lanes exist only once used.
+  expect_battery_matches_oracles(64, {CommBackend::SharedMem});
+}
+
+// -- Trainer parity: default vs socket backend ---------------
 
 std::vector<Index> tiny_corpus(Index vocab, std::size_t n,
                                std::uint64_t seed) {
@@ -498,13 +758,13 @@ void expect_transport_matches_thread(
 TEST(TransportTrainer, MatchesThreadBitwiseG1Fp32) {
   expect_transport_matches_thread(
       1, WirePrecision::FP32, false,
-      {CommBackend::InProcNet, CommBackend::Socket});
+      {CommBackend::Socket});
 }
 
 TEST(TransportTrainer, MatchesThreadBitwiseG4Fp32) {
   expect_transport_matches_thread(
       4, WirePrecision::FP32, false,
-      {CommBackend::InProcNet, CommBackend::Socket});
+      {CommBackend::Socket});
 }
 
 TEST(TransportTrainer, MatchesThreadBitwiseG4Fp16) {

@@ -249,7 +249,6 @@ TEST_P(OwnerUpdate, MatchesReplicatedOracleBitwise) {
 INSTANTIATE_TEST_SUITE_P(
     Matrix, OwnerUpdate,
     ::testing::Combine(::testing::Values(CommBackend::SharedMem,
-                                         CommBackend::InProcNet,
                                          CommBackend::Socket),
                        ::testing::Values(WireCodec::None, WireCodec::Int8),
                        ::testing::Values(WirePrecision::FP32,
@@ -257,9 +256,8 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Bool()),
     [](const ::testing::TestParamInfo<MatrixParam>& info) {
       const CommBackend backend = std::get<0>(info.param);
-      const std::string b = backend == CommBackend::SharedMem   ? "SharedMem"
-                            : backend == CommBackend::InProcNet ? "InProcNet"
-                                                                : "Socket";
+      const std::string b =
+          backend == CommBackend::SharedMem ? "SharedMem" : "Socket";
       return b + "_" + wire_codec_name(std::get<1>(info.param)) +
              (std::get<2>(info.param) == WirePrecision::FP32 ? "_fp32"
                                                              : "_fp16") +

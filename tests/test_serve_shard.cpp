@@ -24,6 +24,7 @@
 #include "zipflm/serve/socket_frontend.hpp"
 #include "zipflm/serve/wire.hpp"
 #include "decoder_fuzz.hpp"
+#include "gated_model.hpp"
 
 namespace zipflm::serve {
 namespace {
@@ -599,9 +600,13 @@ TEST(SocketFrontendTest, WireResponsesMatchInProcessServer) {
 }
 
 TEST(SocketFrontendTest, DeadClientDoesNotWedgeTheFrontend) {
-  Replicas replicas(1);
+  // The model holds the request until the client is gone, so its reply
+  // is orphaned whichever way the frontend learns of the death: by
+  // reading the EOF first, or by the reply's frame failing on the dead
+  // peer.
+  GatedModel model(std::make_unique<CharLm>(small_config()));
   ShardedServeOptions opts;
-  ShardedServer sharded(replicas.raw, opts);
+  ShardedServer sharded({&model}, opts);
   sharded.start();
   auto world = net::socketpair_mesh(2);
   SocketFrontend frontend(*world[0], sharded);
@@ -614,6 +619,7 @@ TEST(SocketFrontendTest, DeadClientDoesNotWedgeTheFrontend) {
     // No wait(), no bye(): the client vanishes mid-request.
   }
   world[1]->close();
+  model.release();
   // The frontend must notice the dead peer, discard the orphaned
   // response, and drain — not spin forever.
   frontend_thread.join();

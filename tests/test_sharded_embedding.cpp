@@ -117,7 +117,7 @@ std::vector<A2AOutcome> run_alltoallv(CommBackend backend, int gpus) {
 TEST(AllToAllV, MovesExactBlocksOnEveryBackend) {
   const int gpus = 4;
   for (const CommBackend backend :
-       {CommBackend::SharedMem, CommBackend::InProcNet, CommBackend::Socket}) {
+       {CommBackend::SharedMem, CommBackend::Socket}) {
     const auto outs = run_alltoallv(backend, gpus);
     for (int r = 0; r < gpus; ++r) {
       const auto& o = outs[static_cast<std::size_t>(r)];
@@ -148,8 +148,7 @@ TEST(AllToAllV, MovesExactBlocksOnEveryBackend) {
 TEST(AllToAllV, LedgerAndPayloadsIdenticalAcrossBackends) {
   for (const int gpus : {1, 4}) {
     const auto ref = run_alltoallv(CommBackend::SharedMem, gpus);
-    for (const CommBackend backend :
-         {CommBackend::InProcNet, CommBackend::Socket}) {
+    for (const CommBackend backend : {CommBackend::Socket}) {
       const auto got = run_alltoallv(backend, gpus);
       for (int r = 0; r < gpus; ++r) {
         const auto& want = ref[static_cast<std::size_t>(r)];
@@ -165,9 +164,10 @@ TEST(AllToAllV, LedgerAndPayloadsIdenticalAcrossBackends) {
                   have.ledger.max_collective_scratch_bytes);
         EXPECT_EQ(want.ledger.simulated_comm_seconds,
                   have.ledger.simulated_comm_seconds);
+        // Both transports measure the bytes they really moved.
         if (gpus > 1) {
           EXPECT_GT(have.ledger.wire_bytes_sent, 0u);
-          EXPECT_EQ(want.ledger.wire_bytes_sent, 0u);
+          EXPECT_GT(want.ledger.wire_bytes_sent, 0u);
         }
       }
     }
@@ -352,7 +352,7 @@ void expect_sharded_matches_replicated(
   const auto train = tiny_corpus(vocab, 2400, 7);
   const auto valid = tiny_corpus(vocab, 400, 8);
 
-  // Replicated oracle on the shared-memory backend.
+  // Replicated oracle on the default backend.
   double ref_train = 0.0, ref_valid = 0.0;
   std::vector<unsigned char> ref_table, ref_dense;
   {
@@ -397,13 +397,13 @@ void expect_sharded_matches_replicated(
 TEST(ShardedTrainer, MatchesReplicatedBitwiseG1AllBackends) {
   expect_sharded_matches_replicated(
       1, false,
-      {CommBackend::SharedMem, CommBackend::InProcNet, CommBackend::Socket});
+      {CommBackend::SharedMem, CommBackend::Socket});
 }
 
 TEST(ShardedTrainer, MatchesReplicatedBitwiseG4AllBackends) {
   expect_sharded_matches_replicated(
       4, false,
-      {CommBackend::SharedMem, CommBackend::InProcNet, CommBackend::Socket});
+      {CommBackend::SharedMem, CommBackend::Socket});
 }
 
 TEST(ShardedTrainer, OverlappedExchangeStaysBitwise) {

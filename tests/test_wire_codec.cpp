@@ -3,8 +3,9 @@
 // The contracts under test (see comm/wire_codec.hpp):
 //  * INT8 is deterministic (same bytes in, same bytes out) and its
 //    vector kernels are bitwise identical to the scalar fallbacks;
-//  * a coded allreduce produces the same bits on the SharedMem and
-//    InProcNet backends, and both engines book the same encoded bytes;
+//  * a coded allreduce produces the bits of the single-threaded ring
+//    replay (reference_ring.hpp) on the SharedMem and Socket backends,
+//    and both book the same encoded bytes;
 //  * a reduce-scatter leaves each owner exactly the bytes the allreduce
 //    leaves in its chunk, and the chunk allgather completes it;
 //  * ranks arming different codecs fail loudly;
@@ -21,6 +22,7 @@
 #include "zipflm/support/rng.hpp"
 #include "zipflm/tensor/simd.hpp"
 #include "decoder_fuzz.hpp"
+#include "reference_ring.hpp"
 
 namespace zipflm {
 namespace {
@@ -119,6 +121,13 @@ TEST_F(CodecBackendParity, VectorKernelsMatchScalarBitwise) {
 
 // -- Coded collectives ------------------------------------------------------
 
+std::vector<float> rank_input(int rank, std::size_t n) {
+  std::vector<float> data(n);
+  Rng rng(900 + static_cast<std::uint64_t>(rank));
+  for (auto& v : data) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+  return data;
+}
+
 std::vector<std::vector<float>> run_allreduce(CommBackend backend, int g,
                                               std::size_t n, WireCodec codec) {
   CommWorld::Options opts;
@@ -126,9 +135,7 @@ std::vector<std::vector<float>> run_allreduce(CommBackend backend, int g,
   CommWorld world(g, opts);
   std::vector<std::vector<float>> results(static_cast<std::size_t>(g));
   world.run([&](Communicator& comm) {
-    std::vector<float> data(n);
-    Rng rng(900 + static_cast<std::uint64_t>(comm.rank()));
-    for (auto& v : data) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+    std::vector<float> data = rank_input(comm.rank(), n);
     WireCodecScope scope(comm, codec);
     comm.allreduce_sum(std::span<float>(data));
     results[static_cast<std::size_t>(comm.rank())] = data;
@@ -142,19 +149,24 @@ INSTANTIATE_TEST_SUITE_P(Worlds, CodedWorlds, ::testing::Values(2, 3, 4, 8));
 TEST_P(CodedWorlds, CodedAllreduceIdenticalAcrossBackends) {
   const int g = GetParam();
   const std::size_t n = 513;
-  const auto shared = run_allreduce(CommBackend::SharedMem, g, n,
-                                    WireCodec::Int8);
-  const auto inproc = run_allreduce(CommBackend::InProcNet, g, n,
-                                    WireCodec::Int8);
-  for (int r = 0; r < g; ++r) {
-    EXPECT_TRUE(bitwise_equal(shared[static_cast<std::size_t>(r)],
-                              inproc[static_cast<std::size_t>(r)]))
-        << "world=" << g << " rank=" << r;
+  std::vector<std::vector<float>> want;
+  for (int r = 0; r < g; ++r) want.push_back(rank_input(r, n));
+  reference_ring::allreduce(want, reference_ring::Combine::Sum,
+                            WireCodec::Int8);
+  for (const CommBackend backend :
+       {CommBackend::SharedMem, CommBackend::Socket}) {
+    const auto got = run_allreduce(backend, g, n, WireCodec::Int8);
+    for (int r = 0; r < g; ++r) {
+      EXPECT_TRUE(bitwise_equal(want[static_cast<std::size_t>(r)],
+                                got[static_cast<std::size_t>(r)]))
+          << "world=" << g << " rank=" << r
+          << " backend=" << static_cast<int>(backend);
+    }
   }
   // Every rank must agree with every other (coded phase 2 hands all
   // ranks, the owner included, the decode of one shared encoding).
   for (int r = 1; r < g; ++r) {
-    EXPECT_TRUE(bitwise_equal(shared[0], shared[static_cast<std::size_t>(r)]));
+    EXPECT_TRUE(bitwise_equal(want[0], want[static_cast<std::size_t>(r)]));
   }
 }
 
@@ -168,9 +180,7 @@ std::vector<std::pair<std::vector<float>, std::vector<float>>> run_halves(
   std::vector<std::pair<std::vector<float>, std::vector<float>>> results(
       static_cast<std::size_t>(g));
   world.run([&](Communicator& comm) {
-    std::vector<float> data(n);
-    Rng rng(900 + static_cast<std::uint64_t>(comm.rank()));
-    for (auto& v : data) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+    std::vector<float> data = rank_input(comm.rank(), n);
     WireCodecScope scope(comm, codec);
     comm.reduce_scatter_sum(std::span<float>(data));
     auto& out = results[static_cast<std::size_t>(comm.rank())];
@@ -189,7 +199,7 @@ TEST_P(CodedWorlds, ReduceScatterThenAllgatherIsTheAllreduce) {
     for (const WireCodec codec : {WireCodec::None, WireCodec::Int8}) {
       const auto want = run_allreduce(CommBackend::SharedMem, g, n, codec);
       for (const CommBackend backend :
-           {CommBackend::SharedMem, CommBackend::InProcNet}) {
+           {CommBackend::SharedMem, CommBackend::Socket}) {
         const auto got = run_halves(backend, g, n, codec);
         for (int r = 0; r < g; ++r) {
           const auto& w = want[static_cast<std::size_t>(r)];
@@ -229,14 +239,13 @@ TEST(CodedCollectives, OwnedChunksTileTheBuffer) {
 }
 
 TEST(CodedCollectives, HalvesBookTheirOwnLedgerRows) {
-  // The shared-memory engine models the transport ring's encoded volume
-  // in closed form, so both engines book identical codec bytes, and the
-  // two halves move exactly the raw bytes of one allreduce.
+  // Both backends book identical codec bytes, and the two halves move
+  // exactly the raw bytes of one allreduce.
   const int g = 4;
   const std::size_t n = 1000;
   TrafficLedger shm, net;
   run_halves(CommBackend::SharedMem, g, n, WireCodec::Int8, &shm);
-  run_halves(CommBackend::InProcNet, g, n, WireCodec::Int8, &net);
+  run_halves(CommBackend::Socket, g, n, WireCodec::Int8, &net);
   EXPECT_EQ(shm.reduce_scatter_calls, 4u);
   EXPECT_EQ(shm.allgather_calls, 4u);
   EXPECT_EQ(shm.allreduce_calls, 0u);
@@ -257,14 +266,13 @@ TEST(CodedCollectives, HalvesBookTheirOwnLedgerRows) {
 }
 
 TEST(CodedCollectives, EnginesBookEqualInt8WireBytesWithEmptyChunks) {
-  // n < g leaves ring chunks empty: such a hop moves no bytes on the
-  // transport and books none in the shared-memory model.  Uneven n
-  // gives chunks of two lengths.
+  // n < g leaves ring chunks empty: such a hop moves and books no
+  // bytes.  Uneven n gives chunks of two lengths.
   const int g = 4;
   for (const std::size_t n : {std::size_t{1}, std::size_t{3},
                               std::size_t{1001}}) {
     for (const CommBackend backend :
-         {CommBackend::SharedMem, CommBackend::InProcNet}) {
+         {CommBackend::SharedMem, CommBackend::Socket}) {
       CommWorld::Options opts;
       opts.backend = backend;
       CommWorld world(g, opts);
