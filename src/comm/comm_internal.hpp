@@ -1,17 +1,17 @@
-// The cached handles of the global "comm/..." metrics, shared by the
-// collective engine (transport_comm.cpp), CommWorld's rank retirement
-// and the wire codec.  Not installed: this header is private to
-// src/comm.
+// Private to src/comm: the cached handles of the global "comm/..."
+// metrics and the one place a TrafficLedger delta becomes them.  Not
+// installed.
 #pragma once
 
+#include "zipflm/comm/ledger.hpp"
 #include "zipflm/obs/metrics.hpp"
 
 namespace zipflm::comm_internal {
 
-/// Global mirror of the per-rank ledgers, summed over every rank of
-/// every CommWorld / ProcessGroup: the "comm/..." section of the
-/// unified metrics snapshot.  Looked up once, then updated with relaxed
-/// atomics — the collectives themselves never touch the registry lock.
+/// Handles of the "comm/..." metrics: the global mirror of the per-rank
+/// ledgers plus CommWorld's rank retirements.  Looked up once, then
+/// updated with relaxed atomics — the collectives themselves never
+/// touch the registry lock.
 struct CommMetrics {
   obs::Counter& bytes_sent;
   obs::Counter& bytes_received;
@@ -40,8 +40,8 @@ struct CommMetrics {
   obs::Histogram& net_send_wait;
   obs::Histogram& net_recv_wait;
   // Wire-codec telemetry: logical vs encoded volume through any codec
-  // (all slots summed) and the achieved compression of the most recent
-  // coded payload, logical / wire.
+  // and the achieved compression of the most recent coded payload,
+  // logical / wire.
   obs::Counter& codec_logical_bytes;
   obs::Counter& codec_wire_bytes;
   obs::Gauge& compression_ratio;
@@ -78,5 +78,12 @@ struct CommMetrics {
     return m;
   }
 };
+
+/// Adds one booking's delta — a single collective, or a codec record
+/// outside one — into the global mirror of the per-rank ledgers, summed
+/// over every rank of every CommWorld / ProcessGroup: counts and bytes
+/// add, peaks keep their maximum, and the compression ratio takes the
+/// delta's own.  Defined in communicator.cpp.
+void mirror(const TrafficLedger& delta);
 
 }  // namespace zipflm::comm_internal

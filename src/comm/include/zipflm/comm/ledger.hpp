@@ -5,9 +5,9 @@
 // and memory claims.
 //
 // The same numbers are mirrored, summed over ranks, into the global
-// zipflm::obs::MetricsRegistry under "comm/..." (see thread_comm.cpp),
-// so the unified metrics snapshot reports them without the caller
-// holding a CommWorld.
+// zipflm::obs::MetricsRegistry under "comm/..." (comm_internal::mirror
+// in communicator.cpp), so the unified metrics snapshot reports them
+// without the caller holding a CommWorld.
 #pragma once
 
 #include <cstddef>

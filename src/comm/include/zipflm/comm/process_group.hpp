@@ -3,7 +3,7 @@
 // Where CommWorld spawns every rank as a thread of one process, a
 // ProcessGroup is held by ONE OS process that joined an N-process world
 // through the socket rendezvous (see net/socket.hpp).  It owns the
-// rendezvous'd endpoint, this rank's TrafficLedger, and a TransportComm
+// rendezvous'd endpoint, this rank's TrafficLedger, and a Communicator
 // over them — the identical collective engine CommWorld's Socket
 // backend uses, so an N-process run produces bitwise the same results
 // as an N-thread run.
@@ -17,7 +17,7 @@
 #include <memory>
 #include <string>
 
-#include "zipflm/comm/transport_comm.hpp"
+#include "zipflm/comm/communicator.hpp"
 #include "zipflm/net/socket.hpp"
 
 namespace zipflm {
@@ -62,7 +62,7 @@ class ProcessGroup {
   Options options_;
   std::unique_ptr<net::Transport> transport_;
   TrafficLedger ledger_;
-  std::unique_ptr<TransportComm> comm_;
+  std::unique_ptr<Communicator> comm_;
 };
 
 }  // namespace zipflm

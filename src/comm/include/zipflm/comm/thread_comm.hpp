@@ -1,5 +1,5 @@
 // In-process multi-rank runtime: one OS thread per simulated GPU rank,
-// every collective run by TransportComm (transport_comm.hpp) over an
+// every collective run by a Communicator (communicator.hpp) over an
 // in-process transport mesh — net::InProcHub by default, or a
 // socketpair mesh so every byte crosses the kernel.
 //
@@ -29,7 +29,6 @@
 
 #include "zipflm/comm/communicator.hpp"
 #include "zipflm/comm/cost_model.hpp"
-#include "zipflm/comm/transport_comm.hpp"
 
 namespace zipflm {
 

@@ -6,11 +6,11 @@ ProcessGroup::ProcessGroup(std::unique_ptr<net::Transport> transport,
                            Options options)
     : options_(std::move(options)), transport_(std::move(transport)) {
   transport_->set_timeout_seconds(options_.collective_timeout_seconds);
-  TransportComm::Hooks hooks;
+  Communicator::Hooks hooks;
   hooks.ledger = &ledger_;
   hooks.cost = &options_.cost;
   hooks.global_rank = transport_->rank();
-  comm_ = std::make_unique<TransportComm>(
+  comm_ = std::make_unique<Communicator>(
       *transport_, Topology::for_world(transport_->world_size()),
       std::move(hooks));
 }

@@ -99,13 +99,13 @@ void CommWorld::run(const std::function<void(Communicator&)>& fn) {
           obs::set_thread_lane("rank " + std::to_string(global), global);
 #endif
           net::Transport& ep = *endpoints[i];
-          TransportComm::Hooks hooks;
+          Communicator::Hooks hooks;
           hooks.ledger = &ledgers_[static_cast<std::size_t>(global)];
           hooks.cost = &cost_;
           hooks.global_rank = global;
           hooks.fault = [this, global] { return next_fault(global); };
           try {
-            TransportComm comm(ep, topo_, std::move(hooks));
+            Communicator comm(ep, topo_, std::move(hooks));
             fn(comm);
           } catch (const SimulatedRankDeath& death) {
             // A killed rank dies silently; closing its endpoint below

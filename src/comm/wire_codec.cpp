@@ -132,16 +132,10 @@ void decode_grad_chunk(WireCodec codec, std::span<const std::byte> in,
 
 void record_codec_traffic(TrafficLedger& ledger, std::uint64_t logical_bytes,
                           std::uint64_t wire_bytes) {
-  auto& c = ledger.codec;
-  c.logical_bytes += logical_bytes;
-  c.wire_bytes += wire_bytes;
-  auto& m = comm_internal::CommMetrics::get();
-  m.codec_logical_bytes.add(logical_bytes);
-  m.codec_wire_bytes.add(wire_bytes);
-  if (wire_bytes > 0) {
-    m.compression_ratio.set(static_cast<double>(logical_bytes) /
-                            static_cast<double>(wire_bytes));
-  }
+  TrafficLedger delta;
+  delta.codec = {logical_bytes, wire_bytes};
+  ledger += delta;
+  comm_internal::mirror(delta);
 }
 
 }  // namespace zipflm

@@ -148,14 +148,13 @@ CheckpointMeta load_checkpoint(std::istream& in, LmModel& model,
   return load_checkpoint(in, params, train);
 }
 
-void save_checkpoint_file(const std::string& path, LmModel& model,
-                          const CheckpointMeta& meta,
-                          const TrainState* train) {
+void save_file_atomically(const std::string& path,
+                          const std::function<void(std::ostream&)>& write) {
   const std::string tmp = path + ".tmp";
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     ZIPFLM_CHECK(out.is_open(), "cannot open checkpoint file: " + tmp);
-    save_checkpoint(out, model, meta, train);
+    write(out);
     out.flush();
     ZIPFLM_CHECK(out.good(), "checkpoint flush failed: " + tmp);
   }
@@ -163,6 +162,14 @@ void save_checkpoint_file(const std::string& path, LmModel& model,
     std::remove(tmp.c_str());
     ZIPFLM_CHECK(false, "cannot move checkpoint into place: " + path);
   }
+}
+
+void save_checkpoint_file(const std::string& path, LmModel& model,
+                          const CheckpointMeta& meta,
+                          const TrainState* train) {
+  save_file_atomically(path, [&](std::ostream& out) {
+    save_checkpoint(out, model, meta, train);
+  });
 }
 
 CheckpointMeta load_checkpoint_file(const std::string& path, LmModel& model,

@@ -20,6 +20,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <span>
 #include <string>
@@ -75,9 +76,14 @@ CheckpointMeta load_checkpoint(std::istream& in,
                                std::span<Param* const> params,
                                TrainState* train = nullptr);
 
-/// Convenience file wrappers.  Saving is atomic: the bytes go to
-/// `path + ".tmp"` and are renamed over `path` only once fully written,
-/// so a crash mid-save cannot destroy the previous checkpoint.
+/// Atomic file save: `write` fills `path + ".tmp"`, which is flushed
+/// and renamed over `path` only once fully written, so a crash mid-save
+/// cannot destroy the previous file.  Throws ConfigError (and removes
+/// the temp file when the rename fails) if any step fails.
+void save_file_atomically(const std::string& path,
+                          const std::function<void(std::ostream&)>& write);
+
+/// Convenience file wrappers; saving goes through save_file_atomically.
 void save_checkpoint_file(const std::string& path, LmModel& model,
                           const CheckpointMeta& meta = {},
                           const TrainState* train = nullptr);

@@ -50,7 +50,6 @@ struct TrainerOptions {
   std::uint64_t seed = 42;
 
   DeviceProps device = DeviceProps::titan_x();
-  double compute_efficiency = 0.4;  ///< fraction of peak FLOP/s achieved
   /// Charge model + activations against the simulated pool (disable for
   /// tiny unit-test models where the accounting is noise).
   bool charge_static_memory = true;
@@ -59,9 +58,8 @@ struct TrainerOptions {
   /// deterministically skips the optimizer step and backs the scale off
   /// instead of poisoning the weights.  Off by default — each step every
   /// rank scans what it updates and a one-float max-allreduce votes, and
-  /// existing trajectories must not move.
+  /// existing trajectories must not move.  The scale starts at 1024.
   bool dynamic_loss_scale = false;
-  float initial_loss_scale = 1024.0f;
   /// When > 0, dense rank 0 refreshes the expensive "train/..." gauges
   /// (grad_norm, tokens_per_s) every N optimizer steps and invokes
   /// metrics_sink (when set) with the global step index.  The gradient

@@ -85,7 +85,7 @@ RankStep::RankStep(const TrainerOptions& options,
     // Per-rank scalers, not one shared: every rank applies the same
     // overflow vote, so the policies march in lockstep without
     // cross-rank state.
-    scaler_ = LossScaler::dynamic(options_.initial_loss_scale);
+    scaler_ = LossScaler::dynamic(1024.0f);
   }
 
   const ExchangeOptions ex_opts = exchange_options(options_);

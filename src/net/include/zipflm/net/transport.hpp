@@ -3,7 +3,7 @@
 // A Transport is one rank's endpoint into a fully-connected world of
 // `world_size` peers.  It moves raw byte messages with nonblocking
 // send/recv calls that return Completion handles; the collective
-// algorithms in comm/transport_comm.cpp are written purely against this
+// algorithms in comm/communicator.cpp are written purely against this
 // interface, so the same ring schedules run over any backend:
 //
 //  * InProcHub (inproc.hpp)  — N endpoints in one process connected by

@@ -1,138 +1,21 @@
 #include "zipflm/net/telemetry.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 #include <string>
 
+#include "zipflm/net/frame.hpp"
 #include "zipflm/obs/trace.hpp"
 #include "zipflm/support/error.hpp"
 
 namespace zipflm::net::telemetry {
 namespace {
 
-/// Append-only little-endian writer with patchable length slots (the
-/// chunk splitter counts sections/events as it packs them).
-class Writer {
- public:
-  // The type byte is the vector's first element, not a 1-byte insert
-  // (which GCC 12 misreports as -Wstringop-overflow).
-  explicit Writer(FrameType type) : bytes_{static_cast<std::byte>(type)} {}
+using frame::Writer;
 
-  void u8(std::uint8_t v) { raw(&v, sizeof(v)); }
-  void u32(std::uint32_t v) { raw(&v, sizeof(v)); }
-  void u64(std::uint64_t v) { raw(&v, sizeof(v)); }
-  void i64(std::int64_t v) { raw(&v, sizeof(v)); }
-  void f64(double v) { raw(&v, sizeof(v)); }
-  void str(std::string_view s) {
-    u64(s.size());
-    raw(s.data(), s.size());
-  }
-
-  std::size_t reserve_u64() {
-    const std::size_t at = bytes_.size();
-    u64(0);
-    return at;
-  }
-  void patch_u64(std::size_t at, std::uint64_t v) {
-    std::memcpy(bytes_.data() + at, &v, sizeof(v));
-  }
-
-  std::size_t size() const noexcept { return bytes_.size(); }
-  std::vector<std::byte> take() { return std::move(bytes_); }
-
- private:
-  void raw(const void* data, std::size_t size) {
-    const auto* p = static_cast<const std::byte*>(data);
-    bytes_.insert(bytes_.end(), p, p + size);
-  }
-  std::vector<std::byte> bytes_;
-};
-
-/// Strict reader: every underrun, oversized count, or leftover byte is
-/// a protocol error.
-class Reader {
- public:
+struct Reader : frame::Reader {
   Reader(const std::vector<std::byte>& bytes, FrameType expected)
-      : bytes_(bytes) {
-    const auto got = static_cast<FrameType>(u8());
-    if (got != expected) {
-      throw ProtocolError("telemetry frame type mismatch: expected " +
-                          std::to_string(static_cast<int>(expected)) +
-                          ", got " + std::to_string(static_cast<int>(got)));
-    }
-  }
-
-  std::uint8_t u8() {
-    std::uint8_t v;
-    raw(&v, sizeof(v));
-    return v;
-  }
-  std::uint32_t u32() {
-    std::uint32_t v;
-    raw(&v, sizeof(v));
-    return v;
-  }
-  std::uint64_t u64() {
-    std::uint64_t v;
-    raw(&v, sizeof(v));
-    return v;
-  }
-  std::int64_t i64() {
-    std::int64_t v;
-    raw(&v, sizeof(v));
-    return v;
-  }
-  double f64() {
-    double v;
-    raw(&v, sizeof(v));
-    return v;
-  }
-  std::string str() {
-    const std::uint64_t n = u64();
-    if (n > remaining()) {
-      throw ProtocolError("telemetry string length " + std::to_string(n) +
-                          " exceeds the frame");
-    }
-    std::string s(static_cast<std::size_t>(n), '\0');
-    raw(s.data(), s.size());
-    return s;
-  }
-
-  /// Guard a count whose elements each occupy at least
-  /// `min_element_bytes` of what is left in the frame.
-  std::uint64_t count(std::size_t min_element_bytes) {
-    const std::uint64_t n = u64();
-    if (min_element_bytes > 0 && n > remaining() / min_element_bytes) {
-      throw ProtocolError("telemetry count " + std::to_string(n) +
-                          " is implausible for the frame size");
-    }
-    return n;
-  }
-
-  std::size_t remaining() const noexcept { return bytes_.size() - cursor_; }
-
-  void finish() const {
-    if (cursor_ != bytes_.size()) {
-      throw ProtocolError("telemetry frame carries " +
-                          std::to_string(bytes_.size() - cursor_) +
-                          " trailing bytes");
-    }
-  }
-
- private:
-  void raw(void* out, std::size_t size) {
-    if (remaining() < size) {
-      throw ProtocolError("telemetry frame truncated: wanted " +
-                          std::to_string(size) + " bytes, " +
-                          std::to_string(remaining()) + " left");
-    }
-    std::memcpy(out, bytes_.data() + cursor_, size);
-    cursor_ += size;
-  }
-
-  const std::vector<std::byte>& bytes_;
-  std::size_t cursor_ = 0;
+      : frame::Reader(bytes, expected, "telemetry") {}
 };
 
 // Smallest possible encodings, used to bound decoded counts.

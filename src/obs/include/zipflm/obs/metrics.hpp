@@ -68,9 +68,10 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Read-side copy of a Histogram (or of a LatencyHistogram — the
-/// bucketing is identical, so snapshots from either source report the
-/// same percentiles for the same observations).
+/// Read-side copy of a Histogram, and the value-type histogram in its
+/// own right: record() and += use the same buckets, so a value
+/// histogram fed the same observations reports the same percentiles.
+/// Not thread-safe; callers serialize access.
 struct HistogramSnapshot {
   std::uint64_t count = 0;
   double sum = 0.0;
@@ -81,9 +82,17 @@ struct HistogramSnapshot {
   double mean() const noexcept {
     return count == 0 ? 0.0 : sum / static_cast<double>(count);
   }
-  /// Nearest-rank bucket-upper percentile, clamped to [min, max] —
-  /// bit-compatible with LatencyHistogram::percentile.
+  /// Nearest-rank bucket-upper percentile, clamped to [min, max] so
+  /// p0/p100 are exact; 0 when empty.
   double percentile(double p) const;
+
+  /// Record one observation exactly as Histogram::record does.  The
+  /// bucket array is allocated on the first one, so an empty histogram
+  /// costs nothing to build or copy.
+  void record(double value);
+
+  /// Merge another histogram's observations into this one.
+  HistogramSnapshot& operator+=(const HistogramSnapshot& other);
 
   /// The window between `earlier` and this snapshot of the same
   /// histogram: per-bucket count deltas, so percentile() answers "over
@@ -94,9 +103,9 @@ struct HistogramSnapshot {
   HistogramSnapshot since(const HistogramSnapshot& earlier) const;
 };
 
-/// Thread-safe log-spaced histogram, bucket-compatible with
-/// zipflm::LatencyHistogram (256 buckets over (0, 100 s] plus
-/// overflow).  record() is a handful of relaxed atomic updates.
+/// Thread-safe log-spaced histogram: 256 buckets over (0, 100 s] plus
+/// overflow, ~7% relative resolution.  record() is a handful of relaxed
+/// atomic updates.
 class Histogram {
  public:
   static constexpr std::size_t kBuckets = 256;

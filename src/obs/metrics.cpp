@@ -11,10 +11,8 @@ namespace zipflm::obs {
 
 namespace {
 
-// Identical constants to stats/latency.cpp: bucket 0 holds (0, kFloor],
-// buckets 1..kBuckets-2 are log-spaced up to kCeil, last is overflow.
-// Keeping the schemes bit-compatible is what lets the unified snapshot
-// reproduce ServeCounters' LatencyHistogram percentiles exactly.
+// Bucket 0 holds (0, kFloor], buckets 1..kBuckets-2 are log-spaced up
+// to kCeil, the last is overflow.
 constexpr double kFloor = 1e-7;  // 0.1 us
 constexpr double kCeil = 100.0;  // 100 s
 
@@ -61,6 +59,32 @@ double HistogramSnapshot::percentile(double p) const {
     }
   }
   return max;
+}
+
+void HistogramSnapshot::record(double value) {
+  if (!std::isfinite(value) || value < 0.0) value = 0.0;
+  if (buckets.empty()) buckets.assign(Histogram::kBuckets, 0);
+  buckets[Histogram::bucket_for(value)] += 1;
+  min = count == 0 ? value : std::min(min, value);
+  max = count == 0 ? value : std::max(max, value);
+  count += 1;
+  sum += value;
+}
+
+HistogramSnapshot& HistogramSnapshot::operator+=(
+    const HistogramSnapshot& other) {
+  if (other.count == 0) return *this;
+  if (buckets.size() < other.buckets.size()) {
+    buckets.resize(other.buckets.size(), 0);
+  }
+  for (std::size_t b = 0; b < other.buckets.size(); ++b) {
+    buckets[b] += other.buckets[b];
+  }
+  min = count == 0 ? other.min : std::min(min, other.min);
+  max = count == 0 ? other.max : std::max(max, other.max);
+  count += other.count;
+  sum += other.sum;
+  return *this;
 }
 
 HistogramSnapshot HistogramSnapshot::since(

@@ -1,10 +1,10 @@
-// Serving-side instrumentation: latency histograms and throughput
-// counters, snapshotted by Server::counters().
+// Serving-side instrumentation: latency histograms (seconds) and
+// throughput counters, snapshotted by Server::counters().
 #pragma once
 
 #include <cstdint>
 
-#include "zipflm/stats/latency.hpp"
+#include "zipflm/obs/metrics.hpp"
 
 namespace zipflm::serve {
 
@@ -12,12 +12,12 @@ namespace zipflm::serve {
 /// hands out copies, so readers never race the scheduler loop.
 struct ServeCounters {
   /// Latency of the batched step that produced each sampled token.
-  LatencyHistogram token_latency;
+  obs::HistogramSnapshot token_latency;
   /// Submit-to-finish latency per completed request.
-  LatencyHistogram request_latency;
+  obs::HistogramSnapshot request_latency;
   /// Time each admitted request spent in the admission queue (submit to
   /// scheduler admit) — the backpressure signal queue_depth thresholds.
-  LatencyHistogram queue_latency;
+  obs::HistogramSnapshot queue_latency;
 
   /// Requests sitting in the admission queue right now (refreshed on
   /// every submit/admit transition).

@@ -240,9 +240,9 @@ Admission Server::submit(Request request) {
                          static_cast<double>(queue_.size()));
     admission.queue_depth = queue_.size();
     admission.retry_after_seconds =
-        counters_.request_latency.count() > 0
+        counters_.request_latency.count > 0
             ? std::max(options_.batch_deadline_seconds,
-                       counters_.request_latency.mean_seconds())
+                       counters_.request_latency.mean())
             : options_.default_retry_seconds;
     return admission;
   }

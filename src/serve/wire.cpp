@@ -1,120 +1,18 @@
 #include "zipflm/serve/wire.hpp"
 
-#include <cstring>
 #include <string>
 
+#include "zipflm/net/frame.hpp"
 #include "zipflm/net/telemetry.hpp"
 
 namespace zipflm::serve::wire {
 namespace {
 
-/// Append-only little-endian writer over a byte vector.
-class Writer {
- public:
-  // The type byte is the vector's first element, not a 1-byte insert
-  // (which GCC 12 misreports as -Wstringop-overflow).
-  explicit Writer(FrameType type) : bytes_{static_cast<std::byte>(type)} {}
+using net::frame::Writer;
 
-  void u8(std::uint8_t v) { raw(&v, sizeof(v)); }
-  void u64(std::uint64_t v) { raw(&v, sizeof(v)); }
-  void i64(std::int64_t v) { raw(&v, sizeof(v)); }
-  void f64(double v) { raw(&v, sizeof(v)); }
-  void tokens(const std::vector<Index>& t) {
-    u64(t.size());
-    if (!t.empty()) raw(t.data(), t.size() * sizeof(Index));
-  }
-  void str(const std::string& s) {
-    u64(s.size());
-    if (!s.empty()) raw(s.data(), s.size());
-  }
-
-  std::vector<std::byte> take() { return std::move(bytes_); }
-
- private:
-  void raw(const void* data, std::size_t size) {
-    const auto* p = static_cast<const std::byte*>(data);
-    bytes_.insert(bytes_.end(), p, p + size);
-  }
-  std::vector<std::byte> bytes_;
-};
-
-/// Strict reader: every underrun or leftover byte is a protocol error.
-class Reader {
- public:
+struct Reader : net::frame::Reader {
   Reader(const std::vector<std::byte>& bytes, FrameType expected)
-      : bytes_(bytes) {
-    const auto got = static_cast<FrameType>(u8());
-    if (got != expected) {
-      throw net::ProtocolError(
-          "serve frame type mismatch: expected " +
-          std::to_string(static_cast<int>(expected)) + ", got " +
-          std::to_string(static_cast<int>(got)));
-    }
-  }
-
-  std::uint8_t u8() {
-    std::uint8_t v;
-    raw(&v, sizeof(v));
-    return v;
-  }
-  std::uint64_t u64() {
-    std::uint64_t v;
-    raw(&v, sizeof(v));
-    return v;
-  }
-  std::int64_t i64() {
-    std::int64_t v;
-    raw(&v, sizeof(v));
-    return v;
-  }
-  double f64() {
-    double v;
-    raw(&v, sizeof(v));
-    return v;
-  }
-  std::vector<Index> tokens() {
-    const std::uint64_t count = u64();
-    if (count > (bytes_.size() - cursor_) / sizeof(Index)) {
-      throw net::ProtocolError("serve frame token count " +
-                               std::to_string(count) + " exceeds the frame");
-    }
-    std::vector<Index> t(static_cast<std::size_t>(count));
-    if (count > 0) raw(t.data(), t.size() * sizeof(Index));
-    return t;
-  }
-  std::string str() {
-    const std::uint64_t n = u64();
-    if (n > bytes_.size() - cursor_) {
-      throw net::ProtocolError("serve frame string length " +
-                               std::to_string(n) + " exceeds the frame");
-    }
-    std::string s(static_cast<std::size_t>(n), '\0');
-    if (n > 0) raw(s.data(), s.size());
-    return s;
-  }
-
-  void finish() const {
-    if (cursor_ != bytes_.size()) {
-      throw net::ProtocolError(
-          "serve frame carries " + std::to_string(bytes_.size() - cursor_) +
-          " trailing bytes");
-    }
-  }
-
- private:
-  void raw(void* out, std::size_t size) {
-    if (bytes_.size() - cursor_ < size) {
-      throw net::ProtocolError("serve frame truncated: wanted " +
-                               std::to_string(size) + " bytes, " +
-                               std::to_string(bytes_.size() - cursor_) +
-                               " left");
-    }
-    std::memcpy(out, bytes_.data() + cursor_, size);
-    cursor_ += size;
-  }
-
-  const std::vector<std::byte>& bytes_;
-  std::size_t cursor_ = 0;
+      : net::frame::Reader(bytes, expected, "serve") {}
 };
 
 }  // namespace
@@ -127,7 +25,7 @@ std::vector<std::byte> encode_submit(const Request& request) {
   w.f64(request.options.temperature);
   w.i64(request.options.max_context);
   w.i64(request.options.top_k);
-  w.tokens(request.context);
+  w.array(request.context);
   return w.take();
 }
 
@@ -140,7 +38,7 @@ Request decode_submit(const std::vector<std::byte>& payload) {
   request.options.temperature = r.f64();
   request.options.max_context = r.i64();
   request.options.top_k = r.i64();
-  request.context = r.tokens();
+  request.context = r.array<Index>();
   r.finish();
   return request;
 }
@@ -173,7 +71,7 @@ std::vector<std::byte> encode_response(const Response& response) {
   w.u8(response.cache_hit ? 1 : 0);
   w.f64(response.queue_seconds);
   w.f64(response.total_seconds);
-  w.tokens(response.tokens);
+  w.array(response.tokens);
   return w.take();
 }
 
@@ -191,7 +89,7 @@ Response decode_response(const std::vector<std::byte>& payload) {
   response.cache_hit = r.u8() != 0;
   response.queue_seconds = r.f64();
   response.total_seconds = r.f64();
-  response.tokens = r.tokens();
+  response.tokens = r.array<Index>();
   r.finish();
   return response;
 }

@@ -378,7 +378,7 @@ TEST(SocketRendezvous, WorldSizeMismatchIsProtocolError) {
 }
 
 TEST(ProcessGroup, TwoProcessesWorthOfRanksInThreads) {
-  // The full ProcessGroup stack (rendezvous + TransportComm + ledger)
+  // The full ProcessGroup stack (rendezvous + Communicator + ledger)
   // driven by two in-process ranks — what two zipflm_launch children do,
   // minus the fork.
   const std::string addr = test_rendezvous_prefix("pg");
@@ -649,14 +649,14 @@ void expect_battery_matches_oracles(int gpus,
   }
 }
 
-TEST(TransportCommParity, CollectivesMatchTheOraclesBitwise) {
+TEST(CommunicatorParity, CollectivesMatchTheOraclesBitwise) {
   for (const int gpus : {1, 2, 3, 4}) {
     expect_battery_matches_oracles(
         gpus, {CommBackend::SharedMem, CommBackend::Socket});
   }
 }
 
-TEST(TransportCommParity, SixtyFourRankBatterySmoke) {
+TEST(CommunicatorParity, SixtyFourRankBatterySmoke) {
   // 4,032 directed pairs, of which the battery's alltoallv touches
   // every one; the in-process lanes exist only once used.
   expect_battery_matches_oracles(64, {CommBackend::SharedMem});

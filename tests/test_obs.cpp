@@ -1,7 +1,7 @@
 // zipflm::obs — trace buffers, Chrome trace export, metrics registry,
 // and the equivalence contracts the unified snapshot promises:
 // PhaseScope ("phase/..."), TrafficLedger ("comm/..."), ServeCounters
-// ("serve/..."), and Histogram-vs-LatencyHistogram percentiles.
+// ("serve/..."), and value-vs-atomic histogram percentiles.
 //
 // The concurrent-emission tests run under the TSAN suite (check.sh
 // tier 2), which is what actually proves the lock-free ring's
@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cctype>
+#include <numeric>
 #include <chrono>
 #include <sstream>
 #include <string>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "zipflm/comm/thread_comm.hpp"
+#include "zipflm/core/sharded_exchange.hpp"
 #include "zipflm/core/trainer.hpp"
 #include "zipflm/data/markov.hpp"
 #include "zipflm/nn/generate.hpp"
@@ -24,7 +26,6 @@
 #include "zipflm/obs/metrics.hpp"
 #include "zipflm/obs/trace.hpp"
 #include "zipflm/serve/server.hpp"
-#include "zipflm/stats/latency.hpp"
 #include "zipflm/support/phase_scope.hpp"
 #include "zipflm/support/thread_pool.hpp"
 
@@ -381,39 +382,47 @@ TEST(Metrics, ConcurrentUpdatesLoseNothing) {
   EXPECT_EQ(h.count(), static_cast<std::uint64_t>(kThreads) * kPer);
 }
 
-TEST(Metrics, HistogramMatchesLatencyHistogramPercentiles) {
+TEST(Metrics, ValueHistogramMatchesAtomicHistogram) {
+  // ServeCounters keep value histograms that the "serve/..." mirror
+  // records into atomic ones: the same observations must report the
+  // same statistics.
   obs::Histogram h;
-  LatencyHistogram lat;
+  obs::HistogramSnapshot v;
   // Spread across several decades, including the clamp paths.
   const double values[] = {1e-8, 3e-6, 5e-5, 2e-4,  9e-4, 1e-3, 4e-3,
                            0.02, 0.5,  1.7,  25.0, 250.0, -1.0};
-  for (const double v : values) {
-    h.record(v);
-    lat.record(v);
+  for (const double x : values) {
+    h.record(x);
+    v.record(x);
   }
   const auto hs = h.snapshot();
-  EXPECT_EQ(hs.count, lat.count());
-  EXPECT_DOUBLE_EQ(hs.sum, lat.sum_seconds());
-  EXPECT_DOUBLE_EQ(hs.min, lat.min_seconds());
-  EXPECT_DOUBLE_EQ(hs.max, lat.max_seconds());
+  EXPECT_EQ(hs.count, v.count);
+  EXPECT_DOUBLE_EQ(hs.sum, v.sum);
+  EXPECT_DOUBLE_EQ(hs.min, v.min);
+  EXPECT_DOUBLE_EQ(hs.max, v.max);
+  EXPECT_EQ(hs.buckets, v.buckets);
   for (const double p : {0.0, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0}) {
-    EXPECT_DOUBLE_EQ(hs.percentile(p), lat.percentile(p)) << "p=" << p;
+    EXPECT_DOUBLE_EQ(hs.percentile(p), v.percentile(p)) << "p=" << p;
   }
 }
 
-TEST(Metrics, LatencyHistogramMergePreservesStats) {
-  LatencyHistogram a;
-  LatencyHistogram b;
+TEST(Metrics, ValueHistogramMergePreservesStats) {
+  obs::HistogramSnapshot a;
+  obs::HistogramSnapshot b;
   for (int i = 1; i <= 50; ++i) a.record(1e-3 * i);
   for (int i = 51; i <= 100; ++i) b.record(1e-3 * i);
-  LatencyHistogram all;
+  obs::HistogramSnapshot all;
   for (int i = 1; i <= 100; ++i) all.record(1e-3 * i);
 
+  obs::HistogramSnapshot empty;
+  empty += a;  // an empty histogram takes the other's extremes
+  EXPECT_DOUBLE_EQ(empty.min, a.min);
   a += b;
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_DOUBLE_EQ(a.sum_seconds(), all.sum_seconds());
-  EXPECT_DOUBLE_EQ(a.min_seconds(), all.min_seconds());
-  EXPECT_DOUBLE_EQ(a.max_seconds(), all.max_seconds());
+  a += obs::HistogramSnapshot{};  // merging an empty one changes nothing
+  EXPECT_EQ(a.count, all.count);
+  EXPECT_DOUBLE_EQ(a.sum, all.sum);
+  EXPECT_DOUBLE_EQ(a.min, all.min);
+  EXPECT_DOUBLE_EQ(a.max, all.max);
   for (const double p : {0.1, 0.5, 0.95}) {
     EXPECT_DOUBLE_EQ(a.percentile(p), all.percentile(p));
   }
@@ -447,52 +456,127 @@ TEST(Equivalence, PhaseScopeAddsIntoRegistryGauge) {
 }
 
 TEST(Equivalence, CommRegistryMirrorsTrafficLedger) {
-  auto& reg = obs::MetricsRegistry::global();
-  reg.reset("comm/");
-  CommWorld world(4);
-  world.run([&](Communicator& comm) {
-    std::vector<float> grads(1000, 1.0f);
-    comm.allreduce_sum(std::span<float>(grads));
-    std::vector<Half> half_grads(512);
-    comm.allreduce_sum(std::span<Half>(half_grads));
-    std::vector<std::byte> local(64, std::byte{1});
-    std::vector<std::byte> out(64 * 4);
-    comm.allgather_bytes(local, out);
-    std::vector<std::byte> vlocal(
-        static_cast<std::size_t>(8 * (comm.rank() + 1)), std::byte{2});
-    std::vector<std::byte> vout;
-    std::vector<std::size_t> counts;
-    comm.allgatherv_bytes(vlocal, vout, counts);
-    std::vector<std::byte> bc(256, std::byte{3});
-    comm.broadcast_bytes(bc, 0);
-    comm.barrier();
-  });
+  // Every collective family, the Int8 codec on a ring and on a sharded
+  // push, on both backends: the "comm/..." mirror must carry exactly
+  // the sum (or, for peaks, the max) of the per-rank ledgers.
+  for (const CommBackend backend :
+       {CommBackend::SharedMem, CommBackend::Socket}) {
+    SCOPED_TRACE(backend == CommBackend::Socket ? "Socket" : "SharedMem");
+    auto& reg = obs::MetricsRegistry::global();
+    reg.reset("comm/");
+    CommWorld::Options opts;
+    opts.backend = backend;
+    CommWorld world(4, opts);
+    world.run([&](Communicator& comm) {
+      const int r = comm.rank();
+      std::vector<float> grads(1000, 1.0f);
+      comm.allreduce_sum(std::span<float>(grads));
+      std::vector<Half> half_grads(512);
+      comm.allreduce_sum(std::span<Half>(half_grads));
+      std::vector<float> rs(1001, 0.5f);
+      comm.reduce_scatter_sum(std::span<float>(rs));
+      std::vector<Half> half_rs(301);
+      comm.reduce_scatter_sum(std::span<Half>(half_rs));
+      comm.allgather_chunks(std::span<float>(rs));
+      std::vector<float> votes(17, static_cast<float>(r));
+      comm.allreduce_max(std::span<float>(votes));
+      {
+        WireCodecScope coded(comm, WireCodec::Int8);
+        std::vector<float> coded_grads(777, 0.25f);
+        comm.allreduce_sum(std::span<float>(coded_grads));
+      }
+      std::vector<std::byte> local(64, std::byte{1});
+      std::vector<std::byte> out(64 * 4);
+      comm.allgather_bytes(local, out);
+      std::vector<std::byte> vlocal(static_cast<std::size_t>(8 * (r + 1)),
+                                    std::byte{2});
+      std::vector<std::byte> vout;
+      std::vector<std::size_t> counts;
+      comm.allgatherv_bytes(vlocal, vout, counts);
+      std::vector<std::size_t> send_counts(4);
+      for (std::size_t d = 0; d < send_counts.size(); ++d) {
+        send_counts[d] = 16 * (d + 1) + static_cast<std::size_t>(r);
+      }
+      std::vector<std::byte> send(
+          std::accumulate(send_counts.begin(), send_counts.end(),
+                          std::size_t{0}),
+          std::byte{4});
+      std::vector<std::byte> recv;
+      std::vector<std::size_t> recv_counts;
+      comm.alltoallv_bytes(send, send_counts, recv, recv_counts);
+      std::vector<std::byte> bc(256, std::byte{3});
+      comm.broadcast_bytes(bc, 0);
+      comm.barrier();
 
-  const TrafficLedger total = world.total_ledger();
-  const auto snap = reg.snapshot();
-  EXPECT_EQ(snap.counters.at("comm/bytes_sent"), total.bytes_sent);
-  EXPECT_EQ(snap.counters.at("comm/bytes_received"), total.bytes_received);
-  EXPECT_EQ(snap.counters.at("comm/allreduce_calls"), total.allreduce_calls);
-  EXPECT_EQ(snap.counters.at("comm/allgather_calls"), total.allgather_calls);
-  EXPECT_EQ(snap.counters.at("comm/broadcast_calls"), total.broadcast_calls);
-  EXPECT_EQ(snap.counters.at("comm/barrier_calls"), total.barrier_calls);
-  EXPECT_DOUBLE_EQ(snap.gauges.at("comm/max_collective_scratch_bytes"),
-                   static_cast<double>(total.max_collective_scratch_bytes));
-  EXPECT_DOUBLE_EQ(snap.gauges.at("comm/max_allreduce_payload_bytes"),
-                   static_cast<double>(total.max_allreduce_payload_bytes));
-  EXPECT_DOUBLE_EQ(snap.gauges.at("comm/max_allgather_payload_bytes"),
-                   static_cast<double>(total.max_allgather_payload_bytes));
-  EXPECT_DOUBLE_EQ(snap.gauges.at("comm/max_broadcast_payload_bytes"),
-                   static_cast<double>(total.max_broadcast_payload_bytes));
-  // CAS adds from 4 ranks land in nondeterministic order: tolerance.
-  EXPECT_NEAR(snap.gauges.at("comm/simulated_seconds"),
-              total.simulated_comm_seconds,
-              1e-12 + 1e-9 * total.simulated_comm_seconds);
+      // A sharded push under Int8: coded row blocks over alltoallv.
+      const Index vocab = 29;
+      const Index dim = 6;
+      ExchangeOptions xopts;
+      xopts.codec = WireCodec::Int8;
+      ShardedEmbeddingExchange ex(vocab, dim, xopts);
+      std::vector<Index> ids;
+      for (Index i = 0; i < 20; ++i) ids.push_back((i * 7 + r) % vocab);
+      Tensor delta({static_cast<Index>(ids.size()), dim});
+      for (std::size_t i = 0; i < delta.data().size(); ++i) {
+        delta.data()[i] = static_cast<float>(i % 13) * 0.125f;
+      }
+      std::vector<Index> out_ids;
+      Tensor out_rows;
+      ex.exchange(comm, ids, delta, out_ids, out_rows);
+    });
 
-  // Per-collective payload peaks carry the known values.
-  EXPECT_EQ(total.max_allreduce_payload_bytes, 1000u * sizeof(float));
-  EXPECT_EQ(total.max_allgather_payload_bytes, 64u);
-  EXPECT_EQ(total.max_broadcast_payload_bytes, 256u);
+    const TrafficLedger total = world.total_ledger();
+    const auto snap = reg.snapshot();
+    const auto counter = [&](const char* name) {
+      return snap.counters.at(std::string("comm/") + name);
+    };
+    const auto gauge = [&](const char* name) {
+      return snap.gauges.at(std::string("comm/") + name);
+    };
+    EXPECT_EQ(counter("bytes_sent"), total.bytes_sent);
+    EXPECT_EQ(counter("bytes_received"), total.bytes_received);
+    EXPECT_EQ(counter("allreduce_calls"), total.allreduce_calls);
+    EXPECT_EQ(counter("reduce_scatter_calls"), total.reduce_scatter_calls);
+    EXPECT_EQ(counter("allgather_calls"), total.allgather_calls);
+    EXPECT_EQ(counter("alltoall_calls"), total.alltoall_calls);
+    EXPECT_EQ(counter("broadcast_calls"), total.broadcast_calls);
+    EXPECT_EQ(counter("barrier_calls"), total.barrier_calls);
+    EXPECT_EQ(counter("wire_bytes_sent"), total.wire_bytes_sent);
+    EXPECT_EQ(counter("wire_bytes_received"), total.wire_bytes_received);
+    EXPECT_EQ(counter("codec_logical_bytes"), total.codec.logical_bytes);
+    EXPECT_EQ(counter("codec_wire_bytes"), total.codec.wire_bytes);
+    EXPECT_DOUBLE_EQ(gauge("max_collective_scratch_bytes"),
+                     static_cast<double>(total.max_collective_scratch_bytes));
+    EXPECT_DOUBLE_EQ(gauge("max_allreduce_payload_bytes"),
+                     static_cast<double>(total.max_allreduce_payload_bytes));
+    EXPECT_DOUBLE_EQ(
+        gauge("max_reduce_scatter_payload_bytes"),
+        static_cast<double>(total.max_reduce_scatter_payload_bytes));
+    EXPECT_DOUBLE_EQ(gauge("max_allgather_payload_bytes"),
+                     static_cast<double>(total.max_allgather_payload_bytes));
+    EXPECT_DOUBLE_EQ(gauge("max_alltoall_payload_bytes"),
+                     static_cast<double>(total.max_alltoall_payload_bytes));
+    EXPECT_DOUBLE_EQ(gauge("max_broadcast_payload_bytes"),
+                     static_cast<double>(total.max_broadcast_payload_bytes));
+    // CAS adds from 4 ranks land in nondeterministic order: tolerance.
+    EXPECT_NEAR(gauge("simulated_seconds"), total.simulated_comm_seconds,
+                1e-12 + 1e-9 * total.simulated_comm_seconds);
+    EXPECT_NEAR(gauge("real_seconds"), total.real_comm_seconds,
+                1e-12 + 1e-9 * total.real_comm_seconds);
+    // The ratio gauge holds the most recent coded payload's compression.
+    EXPECT_GT(gauge("compression_ratio"), 1.0);
+
+    // Every family ran, and the peaks carry the known values.
+    EXPECT_GE(total.allreduce_calls, 4u * 4u);
+    EXPECT_GE(total.reduce_scatter_calls, 4u * 2u);
+    EXPECT_EQ(total.max_allreduce_payload_bytes, 1000u * sizeof(float));
+    EXPECT_EQ(total.max_reduce_scatter_payload_bytes, 1001u * sizeof(float));
+    EXPECT_EQ(total.max_allgather_payload_bytes, 251u * sizeof(float));
+    EXPECT_EQ(total.max_broadcast_payload_bytes, 256u);
+    EXPECT_GT(total.alltoall_calls, 4u);
+    EXPECT_GT(total.codec.wire_bytes, 0u);
+    EXPECT_GT(total.wire_bytes_sent, 0u);
+  }
 }
 
 TEST(Equivalence, LedgerToJsonCarriesEveryField) {
@@ -577,9 +661,9 @@ TEST(Equivalence, ServeRegistryMirrorsServeCounters) {
   // Satellite: queue instrumentation.  Every admitted request passed
   // through the admission queue exactly once, and the registry mirror
   // records the same observations as the legacy histogram.
-  EXPECT_EQ(c.queue_latency.count(), c.requests_admitted);
+  EXPECT_EQ(c.queue_latency.count, c.requests_admitted);
   const auto& qh = snap.histograms.at("serve/queue_seconds");
-  EXPECT_EQ(qh.count, c.queue_latency.count());
+  EXPECT_EQ(qh.count, c.queue_latency.count);
   EXPECT_DOUBLE_EQ(qh.percentile(0.5), c.queue_latency.percentile(0.5));
   EXPECT_DOUBLE_EQ(qh.percentile(0.95), c.queue_latency.percentile(0.95));
   EXPECT_EQ(c.queue_depth, 0u);  // drained
